@@ -37,7 +37,6 @@ from .rank_strata import (
     Witness,
     decompose,
     general_rank_strata,
-    max_symmetric_rank,
     symmetric_rank,
     symmetric_rank_strata,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "is_prime",
     "is_symmetric",
     "load_fixture",
-    "max_symmetric_rank",
     "orbit",
     "parse_literal",
     "parse_structured",

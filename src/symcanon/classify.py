@@ -49,14 +49,14 @@ class ClassificationReport:
         return self.records + self.undecomposable_records
 
 
-def _orbits_of_stratum(codes, rank, stack, p, place, n_group, threads):
+def _orbits_of_stratum(codes, rank, stack, p, place, n_group):
     """Decompose one sorted code set into orbit records, minimal element first."""
     records = []
     remaining = codes.copy()
     while remaining.size:
         x = int(remaining[0])
         digits = digits_of_codes(np.array([x]), p, place.size)[0]
-        members = np.unique(_apply_stack(stack, digits, p, place, threads))
+        members = np.unique(_apply_stack(stack, digits, p, place))
         # rank is invariant under the action, so the orbit must sit in the stratum
         pos = np.searchsorted(remaining, members)
         if pos.max() >= remaining.size or not (remaining[pos] == members).all():
@@ -77,7 +77,7 @@ def _orbits_of_stratum(codes, rank, stack, p, place, n_group, threads):
     return records
 
 
-def classify(field, k, threads=1, budget=DEFAULT_BUDGET):
+def classify(field, k, budget=DEFAULT_BUDGET):
     """Classify all symmetric tensors over F_p of order k into orbits."""
     t0 = time.perf_counter()
     strata = symmetric_rank_strata(field, k, budget)
@@ -87,11 +87,9 @@ def classify(field, k, threads=1, budget=DEFAULT_BUDGET):
 
     records = []
     for r, codes in enumerate(strata.strata):
-        records.extend(
-            _orbits_of_stratum(codes, r, stack, field.p, place, n_group, threads)
-        )
+        records.extend(_orbits_of_stratum(codes, r, stack, field.p, place, n_group))
     undec = _orbits_of_stratum(
-        strata.undecomposable, None, stack, field.p, place, n_group, threads
+        strata.undecomposable, None, stack, field.p, place, n_group
     )
     return ClassificationReport(
         p=field.p,

@@ -24,7 +24,7 @@ from .errors import (
     MissingFixtureError,
     UndecomposableError,
 )
-from .gfp import FieldSpec, is_prime
+from .gfp import FieldSpec
 from .group_action import group_order, orbit, stabilizer_size
 from .rank_strata import (
     DEFAULT_BUDGET,
@@ -38,7 +38,6 @@ from .tensor import (
     format_literal,
     is_symmetric,
     parse_literal,
-    symmetric_outer_power,
 )
 
 EXIT_OK = 0
@@ -60,7 +59,6 @@ def _build_parser():
     def common(p, tensor=False, p_required=True):
         p.add_argument("--p", type=int, required=p_required, help="prime modulus")
         p.add_argument("--order", type=int, help="tensor order, 3 or 4")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--budget", type=int, default=None,
                        help="code-set ceiling (default %d)" % DEFAULT_BUDGET)
         if tensor:
@@ -100,12 +98,6 @@ def _budget(args):
         return args.budget
     env = os.environ.get("SYMCANON_BUDGET")
     return int(env) if env else DEFAULT_BUDGET
-
-
-def _field(args):
-    if not is_prime(args.p):
-        raise ValueError(f"p must be prime, got {args.p}")
-    return FieldSpec(args.p)
 
 
 def _order(args, inferred=None):
@@ -151,9 +143,9 @@ def main(argv=None):
 
 def _dispatch(args):
     if args.command == "classify":
-        field = _field(args)
+        field = FieldSpec(args.p)
         k = _order(args)
-        rep = classify(field, k, threads=args.threads, budget=_budget(args))
+        rep = classify(field, k, budget=_budget(args))
         text = report_mod.emit(rep, args.format, include_timing=args.with_timing)
         if args.out:
             with open(args.out, "w") as fh:
@@ -169,42 +161,40 @@ def _dispatch(args):
         return _run_verify(args)
 
     if args.command == "stats":
-        field = _field(args)
+        field = FieldSpec(args.p)
         k = _order(args)
         strata = symmetric_rank_strata(field, k, _budget(args))
         space = field.p ** (k + 1)
-        counts = strata.stratum_sizes()
+        counts = strata.stratum_sizes() + [int(strata.undecomposable.size)]
         print(f"p={field.p} k={k} group_order={group_order(field)} "
               f"symmetric_tensors={space}")
         print(f"max_symmetric_rank={strata.max_rank}")
         print("rank,count,percent")
-        for r, c in enumerate(counts):
-            print(f"{r},{c},{round(100.0 * c / space, 2):.2f}")
-        print(f"undecomposable,{strata.undecomposable.size},"
-              f"{round(100.0 * strata.undecomposable.size / space, 2):.2f}")
+        labels = [*range(len(counts) - 1), "undecomposable"]
+        for label, c, pct in zip(labels, counts, report_mod._percentages(counts, space)):
+            print(f"{label},{c},{pct:.2f}")
         return EXIT_OK
 
     raise ValueError(f"unknown command {args.command!r}")
 
 
 def _run_query(args):
-    field = _field(args)
+    field = FieldSpec(args.p)
     X = _query_tensor(args, field)
-    k = X.order
 
     if args.command == "canon":
         from .group_action import canonical_form
 
-        print(format_literal(canonical_form(X, threads=args.threads)))
+        print(format_literal(canonical_form(X)))
         return EXIT_OK
     if args.command == "orbit":
-        print(orbit(X, threads=args.threads).size)
+        print(orbit(X).size)
         return EXIT_OK
     if args.command == "stabilizer":
-        print(stabilizer_size(X, threads=args.threads))
+        print(stabilizer_size(X))
         return EXIT_OK
 
-    strata = symmetric_rank_strata(field, k, _budget(args))
+    strata = symmetric_rank_strata(field, X.order, _budget(args))
     if args.command == "rank":
         r = symmetric_rank(X, strata)
         if r is None:
@@ -212,21 +202,15 @@ def _run_query(args):
         print(r)
         return EXIT_OK
 
+    # decompose re-sums the witness itself and raises on a mismatch
     witness = decompose(X, strata)  # raises UndecomposableError when undefined
     for v in witness.vectors:
         print(f"{v[0]},{v[1]}")
-    total = [0] * (1 << k)
-    for v in witness.vectors:
-        term = symmetric_outer_power(v, k, field)
-        total = [(a + b) % field.p for a, b in zip(total, term.entries)]
-    ok = tuple(total) == X.entries
-    print(f"re-evaluated sum of {len(witness.vectors)} outer powers: "
-          f"{'matches input' if ok else 'MISMATCH'}")
-    return EXIT_OK if ok else EXIT_MISMATCH
+    print(f"re-evaluated sum of {len(witness.vectors)} outer powers: matches input")
+    return EXIT_OK
 
 
 def _run_verify(args):
-    threads = args.threads
     budget = _budget(args)
     if args.all:
         pairs = report_mod.list_fixtures(args.fixtures)
@@ -238,10 +222,9 @@ def _run_verify(args):
         pairs = [(args.p, _order(args))]
     worst = EXIT_OK
     for p, k in pairs:
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        field = FieldSpec(p)
         fixture = report_mod.load_fixture(p, k, args.fixtures)
-        rep = classify(FieldSpec(p), k, threads=threads, budget=budget)
+        rep = classify(field, k, budget=budget)
         discrepancies = report_mod.diff(rep, fixture)
         if not discrepancies:
             print(f"p={p} k={k}: table reproduced exactly")

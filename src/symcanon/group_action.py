@@ -10,7 +10,6 @@ at most (17^2 - 1)(17^2 - 17) = 78336 in the supported range, and full
 application also yields stabilizer counts for free.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,47 +136,41 @@ def action_stack(field, k):
     return stack
 
 
-def _apply_stack(stack, digits, p, place, threads=1):
+def _apply_stack(stack, digits, p, place):
     """Codes of stack[g] . digits for every g; order follows the stack."""
-    if threads <= 1 or stack.shape[0] < 4096:
-        y = (stack @ digits) % p
-        return y @ place
-    chunks = np.array_split(np.arange(stack.shape[0]), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda idx: ((stack[idx] @ digits) % p) @ place, chunks)
-        return np.concatenate(list(parts))
+    return ((stack @ digits) % p) @ place
 
 
 def _tensor_digits(X):
     return np.array(X.entries, dtype=np.int64)
 
 
-def orbit_codes(X, threads=1):
+def orbit_codes(X):
     """Sorted unique codes of the diagonal orbit of a symmetric tensor."""
     if not is_symmetric(X):
         raise AsymmetricTensorError("orbits are computed for symmetric tensors")
     p = X.field.p
     stack = action_stack(X.field, X.order)
     place = full_place_values(p, X.order)
-    codes = _apply_stack(stack, _tensor_digits(X), p, place, threads)
+    codes = _apply_stack(stack, _tensor_digits(X), p, place)
     return np.unique(codes)
 
 
-def orbit(X, threads=1):
-    codes = orbit_codes(X, threads)
+def orbit(X):
+    codes = orbit_codes(X)
     return Orbit(tuple(int(c) for c in codes), int(codes[0]), int(codes.size))
 
 
-def canonical_form(X, threads=1):
+def canonical_form(X):
     """Lexicographically minimal member of the orbit of X."""
-    codes = orbit_codes(X, threads)
+    codes = orbit_codes(X)
     t = decode(int(codes[0]), X.field, X.order)
     return SymTensor(X.field, t.entries)
 
 
-def stabilizer_size(X, threads=1):
+def stabilizer_size(X):
     """|stabilizer| via orbit-stabilizer: group order / orbit size."""
-    return group_order(X.field) // orbit_codes(X, threads).size
+    return group_order(X.field) // orbit_codes(X).size
 
 
 def count_stabilizer_directly(X):

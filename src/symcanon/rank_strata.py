@@ -12,8 +12,7 @@ Each newly discovered tensor records one derivation: the predecessor it
 was summed from and the generator added.  Discovery is deterministic,
 keeping the minimum (predecessor code, generator index) pair over the
 whole layer with generators ordered by their lexicographically least
-generating vector; witnesses are then reproducible across runs and
-thread counts.
+generating vector; witnesses are then reproducible across runs.
 
 General (unconstrained) strata run the same layering over the full
 p^(2^k) tensor space with stratum 1 the simple tensors a1 (x) ... (x) ak.
@@ -29,16 +28,16 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.fft
 
-from .errors import BudgetExceededError, UndecomposableError
+from .errors import AsymmetricTensorError, BudgetExceededError, UndecomposableError
 from .gfp import FieldSpec
 from .tensor import (
-    CompactSym,
+    compact_decode,
     compact_encode,
     compact_from_full,
     compact_place_values,
     compact_weights,
     digits_of_codes,
-    full_from_compact,
+    encode,
     full_place_values,
     is_symmetric,
     symmetric_outer_power,
@@ -98,17 +97,8 @@ class RankStratification:
             return None
         if self._rank_of[code] < 0:
             raise UndecomposableError("tensor has no symmetric decomposition")
-        pred = compact_decode_sym(int(self._parent_pred[code]), self.field, self.order)
+        pred = compact_decode(int(self._parent_pred[code]), self.field, self.order).full()
         return pred, self.generator_vectors[int(self._parent_gen[code])]
-
-
-def compact_decode_sym(code, field, order):
-    """Symmetric tensor from its compact code."""
-    p = field.p
-    coeffs = [0] * (order + 1)
-    for j in range(order, -1, -1):
-        code, coeffs[j] = divmod(code, p)
-    return full_from_compact(CompactSym(field, order, tuple(coeffs)))
 
 
 def _compact_code_of(X, s):
@@ -118,7 +108,7 @@ def _compact_code_of(X, s):
             f"stratification is for p={s.field.p}, order {s.order}"
         )
     if not is_symmetric(X):
-        raise ValueError("symmetric rank is defined for symmetric tensors")
+        raise AsymmetricTensorError("symmetric rank is defined for symmetric tensors")
     return compact_encode(compact_from_full(X))
 
 
@@ -198,13 +188,14 @@ def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET):
 def _expand_layer(frontier, gen_codes, gen_digits, rank_of, p, place):
     """Sums frontier + generators not seen before, with min-(pred, gen) parents.
 
-    Processes (frontier x generator) pairs in chunks; each chunk keeps
-    its first occurrence per candidate code under (pred, gen) order, and
-    a final pass merges the chunk winners the same way.
+    Processes (frontier x generator) pairs in chunks and scatter-mins
+    each fresh candidate's key pred*G + gen into one array over all
+    codes, so every code keeps its minimum (pred, gen) pair.
     """
     G = gen_codes.size
+    sentinel = np.iinfo(np.int64).max
+    best = np.full(rank_of.size, sentinel, dtype=np.int64)
     rows_per_chunk = max(1, _CHUNK_ROWS // G)
-    win_codes, win_keys = [], []
     for start in range(0, frontier.size, rows_per_chunk):
         chunk = frontier[start : start + rows_per_chunk]
         digits = digits_of_codes(chunk, p, place.size)
@@ -213,30 +204,10 @@ def _expand_layer(frontier, gen_codes, gen_digits, rank_of, p, place):
         keys = (chunk[:, None] * G + np.arange(G, dtype=np.int64)[None, :]).ravel()
         fresh = rank_of[codes] < 0
         codes, keys = codes[fresh], keys[fresh]
-        if codes.size == 0:
-            continue
-        order = np.lexsort((keys, codes))
-        codes, keys = codes[order], keys[order]
-        first = np.ones(codes.size, dtype=bool)
-        first[1:] = codes[1:] != codes[:-1]
-        win_codes.append(codes[first])
-        win_keys.append(keys[first])
-    if not win_codes:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty, empty
-    codes = np.concatenate(win_codes)
-    keys = np.concatenate(win_keys)
-    order = np.lexsort((keys, codes))
-    codes, keys = codes[order], keys[order]
-    first = np.ones(codes.size, dtype=bool)
-    first[1:] = codes[1:] != codes[:-1]
-    codes, keys = codes[first], keys[first]
+        np.minimum.at(best, codes, keys)
+    codes = np.flatnonzero(best < sentinel)
+    keys = best[codes]
     return codes, keys // G, keys % G
-
-
-def max_symmetric_rank(s):
-    """Index of the last nonempty stratum."""
-    return s.max_rank
 
 
 def symmetric_rank(X, s):
@@ -260,7 +231,8 @@ def decompose(X, s):
         vectors.append(s.generator_vectors[int(s._parent_gen[code])])
         code = int(s._parent_pred[code])
     vectors.reverse()
-    assert len(vectors) == r
+    if len(vectors) != r:
+        raise AssertionError("witness length differs from the rank; parent links corrupt")
 
     total = [0] * (1 << s.order)
     for v in vectors:
@@ -300,11 +272,7 @@ class GeneralRankStratification:
     def rank_of(self, X):
         if X.field != self.field or X.order != self.order:
             raise ValueError("tensor parameters do not match the stratification")
-        p = self.field.p
-        code = 0
-        for v in X.entries:
-            code = code * p + v
-        return self.rank_of_code(code)
+        return self.rank_of_code(encode(X))
 
     def stratum_codes(self, r):
         return np.flatnonzero(self._rank_of == r).astype(np.int64)

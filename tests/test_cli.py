@@ -139,10 +139,9 @@ def test_missing_order_is_usage_error(capsys):
     assert code == 2 and "--order" in err
 
 
-def test_threads_do_not_change_output(capsys):
-    _, out1, _ = run(capsys, "classify", "--p", "3", "--order", "4", "--threads", "1")
-    _, out2, _ = run(capsys, "classify", "--p", "3", "--order", "4", "--threads", "2")
-    assert out1 == out2
+def test_threads_option_is_rejected(capsys):
+    code, _, err = run(capsys, "classify", "--p", "3", "--order", "3", "--threads", "2")
+    assert code == 2 and "--threads" in err
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -12,7 +12,7 @@ from symcanon import (
     tensor_to_form,
     waring_rank_check,
 )
-from symcanon.rank_strata import compact_decode_sym
+from symcanon.tensor import compact_decode
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -61,7 +61,7 @@ def test_eval_matches_collected_form(p, k):
     f = FieldSpec(p)
     step = 1 if p ** (k + 1) <= 3200 else 7
     for code in range(0, p ** (k + 1), step):
-        X = compact_decode_sym(code, f, k)
+        X = compact_decode(code, f, k).full()
         form = tensor_to_form(X)
         for u1 in range(p):
             for u2 in range(p):
@@ -83,7 +83,7 @@ def test_collected_form_injective_iff_kernel_trivial(p, k):
     seen = {}
     collision = False
     for code in range(p ** (k + 1)):
-        X = compact_decode_sym(code, f, k)
+        X = compact_decode(code, f, k).full()
         key = tensor_to_form(X).coeffs
         if key in seen:
             collision = True
@@ -100,7 +100,7 @@ def test_waring_check_rank1_tensors():
 def test_waring_check_all_f3():
     s = symmetric_rank_strata(F3, 3)
     for code in range(81):
-        assert waring_rank_check(compact_decode_sym(code, F3, 3), s)
+        assert waring_rank_check(compact_decode(code, F3, 3).full(), s)
 
 
 def test_waring_check_excludes_undecomposable():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations_with_replacement
 
@@ -5,21 +6,25 @@ import numpy as np
 import pytest
 
 from symcanon import (
+    AsymmetricTensorError,
     BudgetExceededError,
     CompactSym,
     FieldSpec,
+    Tensor,
     UndecomposableError,
     decode,
     decompose,
     encode,
     full_from_compact,
     general_rank_strata,
-    max_symmetric_rank,
     symmetric_outer_power,
     symmetric_rank,
     symmetric_rank_strata,
 )
-from symcanon.rank_strata import compact_decode_sym, rank_one_generators
+from symcanon.rank_strata import rank_one_generators
+from symcanon.tensor import compact_decode
+
+from conftest import ALL_PAIRS
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -54,7 +59,7 @@ def test_strata_against_brute_force(p, k, max_r):
     s = symmetric_rank_strata(f, k)
     oracle = brute_force_ranks(p, k, max_r)
     for code in range(p ** (k + 1)):
-        X = compact_decode_sym(code, f, k)
+        X = compact_decode(code, f, k).full()
         assert symmetric_rank(X, s) == oracle.get(X.entries)
 
 
@@ -73,7 +78,7 @@ def test_stratum_sizes_order3():
 def test_stratum_sizes_order4():
     s = symmetric_rank_strata(FieldSpec(5), 4)
     assert s.stratum_sizes() == [1, 6, 21, 56, 126, 240, 395, 570, 690, 660, 360]
-    assert max_symmetric_rank(s) == 10
+    assert s.max_rank == 10
     assert s.undecomposable.size == 0
 
 
@@ -93,9 +98,9 @@ def test_undecomposable_set_f2_order3():
 
 
 def test_max_rank_examples():
-    assert max_symmetric_rank(symmetric_rank_strata(FieldSpec(5), 3)) == 3
-    assert max_symmetric_rank(symmetric_rank_strata(FieldSpec(3), 4)) == 8
-    assert max_symmetric_rank(symmetric_rank_strata(FieldSpec(7), 4)) == 6
+    assert symmetric_rank_strata(FieldSpec(5), 3).max_rank == 3
+    assert symmetric_rank_strata(FieldSpec(3), 4).max_rank == 8
+    assert symmetric_rank_strata(FieldSpec(7), 4).max_rank == 6
 
 
 def test_strata_partition_space():
@@ -138,6 +143,44 @@ def test_symmetric_rank_rejects_mismatched_parameters():
         symmetric_rank(sym(F3, (0, 0, 0, 1)), s)
 
 
+def test_asymmetric_input_raises_asymmetric_tensor_error():
+    s = symmetric_rank_strata(F2, 3)
+    X = Tensor(F2, (0, 1, 0, 0, 0, 0, 0, 0))
+    with pytest.raises(AsymmetricTensorError):
+        symmetric_rank(X, s)
+    with pytest.raises(AsymmetricTensorError):
+        decompose(X, s)
+    with pytest.raises(AsymmetricTensorError):
+        s.parent_of(X)
+
+
+# SHA-256 over _rank_of, _parent_pred, _parent_gen, every stratum and the
+# undecomposable codes, in that order; pins the BFS discovery order.
+PINNED_STRATA_SHA256 = {
+    (2, 3): "0453457a7c25dfe8331c0100185b282f46b1849c32c9a6888a79e43dde139aa2",
+    (3, 3): "eb875ec7d0ae4ca2f5a66d1d7f31e6939e8babdba852c96b93fd25c85d938c05",
+    (5, 3): "b717c1d0e540184528d50c5bccd3d74609ff9710398087c5afd04060de8cd7bd",
+    (7, 3): "c63b68b7af52011d063167277b64f6f45222425b7c45674cfc762dbb03549a5d",
+    (11, 3): "338ff856eb6883cad39d4af7335e8f411251e33693a899d6ccc61da6bb2fa25f",
+    (13, 3): "ba9df3aeb68dd357e0e6a3de9f4e550050e293b9873241c7b78a6ac4454149f7",
+    (17, 3): "77b30622400f700c3ab7c463116405e35b35dc3c3f9cf37e57f29f6a98e8caee",
+    (2, 4): "961b026616f038f7efbfc6a727e534464fa42f10d9517ea634b98859ae1f64e9",
+    (3, 4): "88f8ee20e7b1bc11f6d17acb11e6b7332e15df1e411e361f7b9f6a5942604588",
+    (5, 4): "9a8a687edb98db46e220297ef09eb262274191db1dc5c097f9a25ee4a453269b",
+    (7, 4): "f71584d3778e093ba5ee894c3730fabb12caf7ddc3bf781612f17ecb17208c11",
+}
+
+
+def test_parent_links_pinned(strata_for):
+    assert sorted(PINNED_STRATA_SHA256) == sorted(ALL_PAIRS)
+    for (p, k), expected in PINNED_STRATA_SHA256.items():
+        s = strata_for(p, k)
+        h = hashlib.sha256()
+        for a in (s._rank_of, s._parent_pred, s._parent_gen, *s.strata, s.undecomposable):
+            h.update(a.tobytes())
+        assert h.hexdigest() == expected, (p, k)
+
+
 def test_rank_one_generator_counts():
     # distinct symmetric simple tensors = stratum-1 sizes
     assert len(rank_one_generators(FieldSpec(7), 3)) == 16
@@ -164,11 +207,20 @@ def test_decompose_undecomposable_raises():
         decompose(sym(F2, (0, 1, 0, 0)), s)
 
 
+def test_decompose_rejects_corrupt_parent_link():
+    s = symmetric_rank_strata(F3, 3)  # fresh: the links are mutated below
+    code = int(np.flatnonzero(s._rank_of == 2)[0])
+    X = compact_decode(code, F3, 3).full()
+    s._parent_pred[code] = 0  # chain now stops one step short of rank 2
+    with pytest.raises(AssertionError, match="witness length"):
+        decompose(X, s)
+
+
 def test_decompose_resums_everywhere_small():
     # independent re-evaluation of every witness over F_3, order 3
     s = symmetric_rank_strata(F3, 3)
     for code in range(81):
-        X = compact_decode_sym(code, F3, 3)
+        X = compact_decode(code, F3, 3).full()
         w = decompose(X, s)
         assert len(w.vectors) == symmetric_rank(X, s)
         total = [0] * 8
@@ -185,7 +237,7 @@ def test_rank_changes_by_at_most_one_when_adding_rank1():
     gens = [vec for _, vec in rank_one_generators(f, 3)]
     for _ in range(300):
         code = rng.randrange(5**4)
-        X = compact_decode_sym(code, f, 3)
+        X = compact_decode(code, f, 3).full()
         rX = symmetric_rank(X, s)
         v = rng.choice(gens)
         term = symmetric_outer_power(v, 3, f)
@@ -212,7 +264,7 @@ def test_general_strata_small_spaces(general_for):
     assert sum(g33.sizes) == 6561
     s = symmetric_rank_strata(F3, 3)
     for code in range(81):
-        X = compact_decode_sym(code, F3, 3)
+        X = compact_decode(code, F3, 3).full()
         assert g33.rank_of(X) <= symmetric_rank(X, s)
 
 
@@ -221,8 +273,6 @@ def test_general_rank1_equals_simple_tensors(general_for):
     g = general_for(2, 3)
     got = set(int(c) for c in g.stratum_codes(1))
     direct = set()
-    from symcanon import Tensor
-
     vecs = [(i, j) for i in range(2) for j in range(2)][1:]
     for a in vecs:
         for b in vecs:
