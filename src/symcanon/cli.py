@@ -97,7 +97,10 @@ def _budget(args):
     if args.budget is not None:
         return args.budget
     env = os.environ.get("SYMCANON_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    try:
+        return int(env) if env else DEFAULT_BUDGET
+    except ValueError:
+        raise ValueError(f"SYMCANON_BUDGET must be an integer, got {env!r}") from None
 
 
 def _order(args, inferred=None):

@@ -3,16 +3,18 @@
 Symmetric strata: stratum 1 is the set of distinct symmetric simple
 tensors a^(x)k over nonzero a; stratum r+1 collects the sums X + Y with
 X in stratum r and Y in stratum 1 that have not appeared in any earlier
-stratum.  The loop ends when a layer comes out empty; whatever is never
-reached has no symmetric decomposition.  Sums of symmetric tensors add
-coefficient-wise on the k+1 compact classes, so the whole search runs on
-compact codes (at most p^(k+1) <= 83521 of them in the supported range).
+stratum.  The search runs on compact codes (the k+1 class coefficients
+add coefficient-wise) and stops once every code is ranked or a layer
+comes out empty; whatever is never reached has no symmetric
+decomposition.  Adding a generator acts digit-wise, so it translates the
+high and the low half of a code on their own: per-generator tables of
+translated halves make each candidate two gathers and one add.
 
-Each newly discovered tensor records one derivation: the predecessor it
-was summed from and the generator added.  Discovery is deterministic,
-keeping the minimum (predecessor code, generator index) pair over the
-whole layer with generators ordered by their lexicographically least
-generating vector; witnesses are then reproducible across runs.
+Each new tensor records one derivation, the minimum (predecessor code,
+generator index) pair over its layer: all candidates are scatter-mined
+into one array over all codes, then codes ranked earlier are cleared.
+Generators are ordered by their least generating vector, so witnesses
+are reproducible across runs.
 
 General (unconstrained) strata run the same layering over the full
 p^(2^k) tensor space with stratum 1 the simple tensors a1 (x) ... (x) ak.
@@ -34,7 +36,6 @@ from .tensor import (
     compact_decode,
     compact_encode,
     compact_from_full,
-    compact_place_values,
     compact_weights,
     digits_of_codes,
     encode,
@@ -45,7 +46,7 @@ from .tensor import (
 
 DEFAULT_BUDGET = 10**8
 
-# candidate rows processed per chunk during layer expansion
+# (frontier code, generator) candidates per chunk of a layer expansion
 _CHUNK_ROWS = 1 << 22
 
 _FFT_WORKERS = -1  # scipy: use all cores
@@ -139,12 +140,13 @@ def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET):
         raise BudgetExceededError(
             f"symmetric code space {N} exceeds the budget of {budget} codes"
         )
-    place = compact_place_values(p, k)
-
     gens = rank_one_generators(field, k)
     gen_codes = np.array([c for c, _ in gens], dtype=np.int64)
-    gen_digits = digits_of_codes(gen_codes, p, k + 1)
     G = gen_codes.size
+    # code + generator g == TH[code // low, g] + TL[code % low, g]
+    low = p ** ((k + 1) // 2)
+    TH = _translations(gen_codes // low, p, k + 1 - (k + 1) // 2) * low
+    TL = _translations(gen_codes % low, p, (k + 1) // 2)
 
     rank_of = np.full(N, -1, dtype=np.int8)
     parent_pred = np.full(N, -1, dtype=np.int64)
@@ -156,20 +158,14 @@ def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET):
     parent_gen[gen_codes] = np.arange(G, dtype=np.int32)
 
     compact_strata = [np.array([0], dtype=np.int64), np.sort(gen_codes)]
-    frontier = compact_strata[1]
-    r = 1
-    while frontier.size:
-        new_codes, preds, gidx = _expand_layer(
-            frontier, gen_codes, gen_digits, rank_of, p, place
-        )
+    while (rank_of < 0).any():
+        new_codes, preds, gidx = _expand_layer(compact_strata[-1], G, TH, TL, low, rank_of)
         if new_codes.size == 0:
             break
-        r += 1
-        rank_of[new_codes] = r
+        rank_of[new_codes] = len(compact_strata)
         parent_pred[new_codes] = preds
         parent_gen[new_codes] = gidx
         compact_strata.append(new_codes)
-        frontier = new_codes
 
     undecomposable = np.flatnonzero(rank_of < 0).astype(np.int64)
     W = compact_weights(p, k)
@@ -185,26 +181,29 @@ def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET):
     )
 
 
-def _expand_layer(frontier, gen_codes, gen_digits, rank_of, p, place):
+def _translations(gen_parts, p, width):
+    """(p^width, G) table: every width-digit code plus every part, digit-wise."""
+    digits = digits_of_codes(np.arange(p**width), p, width)
+    summed = (digits[:, None, :] + digits_of_codes(gen_parts, p, width)) % p
+    return summed @ p ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _expand_layer(frontier, G, TH, TL, low, rank_of):
     """Sums frontier + generators not seen before, with min-(pred, gen) parents.
 
-    Processes (frontier x generator) pairs in chunks and scatter-mins
-    each fresh candidate's key pred*G + gen into one array over all
-    codes, so every code keeps its minimum (pred, gen) pair.
+    Each candidate is two row gathers and one add; all are scatter-mined
+    by key pred*G + gen into one array over all codes, unfiltered, and
+    codes ranked earlier are cleared once at the end of the layer.
     """
-    G = gen_codes.size
     sentinel = np.iinfo(np.int64).max
     best = np.full(rank_of.size, sentinel, dtype=np.int64)
     rows_per_chunk = max(1, _CHUNK_ROWS // G)
     for start in range(0, frontier.size, rows_per_chunk):
         chunk = frontier[start : start + rows_per_chunk]
-        digits = digits_of_codes(chunk, p, place.size)
-        cand = (digits[:, None, :] + gen_digits[None, :, :]) % p
-        codes = cand.reshape(-1, place.size) @ place
-        keys = (chunk[:, None] * G + np.arange(G, dtype=np.int64)[None, :]).ravel()
-        fresh = rank_of[codes] < 0
-        codes, keys = codes[fresh], keys[fresh]
-        np.minimum.at(best, codes, keys)
+        codes = TH[chunk // low] + TL[chunk % low]
+        keys = chunk[:, None] * G + np.arange(G, dtype=np.int64)
+        np.minimum.at(best, codes.ravel(), keys.ravel())  # 1-D: ufunc.at fast path
+    best[rank_of >= 0] = sentinel
     codes = np.flatnonzero(best < sentinel)
     keys = best[codes]
     return codes, keys // G, keys % G

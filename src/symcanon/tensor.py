@@ -311,11 +311,6 @@ def full_place_values(p, k):
     return p ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
-def compact_place_values(p, k):
-    """Radix-p place values of the k+1 compact coefficients (int64)."""
-    return p ** np.arange(k, -1, -1, dtype=np.int64)
-
-
 def compact_weights(p, k):
     """W with full_code = compact_digits . W for symmetric tensors."""
     place = full_place_values(p, k)

@@ -154,6 +154,14 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_budget_env_unparsable(capsys, monkeypatch):
+    for bad in ("abc", "1e6"):
+        monkeypatch.setenv("SYMCANON_BUDGET", bad)
+        code, _, err = run(capsys, "rank", "--p", "5", "--tensor", "c:1,0,0,0")
+        assert code == 2
+        assert "SYMCANON_BUDGET" in err and repr(bad) in err
+
+
 def test_fixtures_env_override(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("SYMCANON_FIXTURES", str(tmp_path))
     code, _, err = run(capsys, "verify-paper", "--p", "3", "--order", "3")

@@ -1,10 +1,17 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import symcanon
 from symcanon import (
     AsymmetricTensorError,
     BudgetExceededError,
@@ -12,15 +19,18 @@ from symcanon import (
     FieldSpec,
     Tensor,
     UndecomposableError,
+    act_diagonal,
     decode,
     decompose,
     encode,
+    enumerate_gl2,
     full_from_compact,
     general_rank_strata,
     symmetric_outer_power,
     symmetric_rank,
     symmetric_rank_strata,
 )
+from symcanon import rank_strata
 from symcanon.rank_strata import rank_one_generators
 from symcanon.tensor import compact_decode
 
@@ -171,14 +181,37 @@ PINNED_STRATA_SHA256 = {
 }
 
 
+# The same hash beyond the stored tables, recorded before the layer
+# expansion became table-driven.
+PINNED_STRATA_SHA256_BEYOND_FIXTURES = {
+    (19, 3): "0a4f5296bbdf31830fd3a0e35a07f8a1b36b5d47844c6636baad587b1901d7c9",
+}
+
+
+def strata_sha256(s):
+    h = hashlib.sha256()
+    for a in (s._rank_of, s._parent_pred, s._parent_gen, *s.strata, s.undecomposable):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def test_parent_links_pinned(strata_for):
     assert sorted(PINNED_STRATA_SHA256) == sorted(ALL_PAIRS)
     for (p, k), expected in PINNED_STRATA_SHA256.items():
-        s = strata_for(p, k)
-        h = hashlib.sha256()
-        for a in (s._rank_of, s._parent_pred, s._parent_gen, *s.strata, s.undecomposable):
-            h.update(a.tobytes())
-        assert h.hexdigest() == expected, (p, k)
+        assert strata_sha256(strata_for(p, k)) == expected, (p, k)
+
+
+def test_parent_links_pinned_beyond_fixtures():
+    for (p, k), expected in PINNED_STRATA_SHA256_BEYOND_FIXTURES.items():
+        assert strata_sha256(symmetric_rank_strata(FieldSpec(p), k)) == expected, (p, k)
+
+
+def test_chunk_boundaries_do_not_change_parent_links(monkeypatch):
+    # at 1000 candidates per chunk every large layer spans many chunks
+    monkeypatch.setattr(rank_strata, "_CHUNK_ROWS", 1000)
+    for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
+        s = symmetric_rank_strata(FieldSpec(p), k)
+        assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k)
 
 
 def test_rank_one_generator_counts():
@@ -214,6 +247,28 @@ def test_decompose_rejects_corrupt_parent_link():
     s._parent_pred[code] = 0  # chain now stops one step short of rank 2
     with pytest.raises(AssertionError, match="witness length"):
         decompose(X, s)
+
+
+def test_corrupt_parent_link_detected_under_python_O():
+    # python -O strips assert statements; decompose must still refuse
+    script = """
+import numpy as np
+from symcanon import FieldSpec, decompose, symmetric_rank_strata
+from symcanon.tensor import compact_decode
+f = FieldSpec(3)
+s = symmetric_rank_strata(f, 3)
+code = int(np.flatnonzero(s._rank_of == 2)[0])
+s._parent_pred[code] = 0
+try:
+    decompose(compact_decode(code, f, 3).full(), s)
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+    path = [str(Path(symcanon.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.startswith("raised:") and "parent links corrupt" in out
 
 
 def test_decompose_resums_everywhere_small():
@@ -283,3 +338,30 @@ def test_general_rank1_equals_simple_tensors(general_for):
                 direct.add(encode(Tensor(F2, entries)))
     assert got == direct
     assert g.sizes[1] == len(direct) == 27
+
+
+@lru_cache(maxsize=None)
+def gl2(p):
+    return enumerate_gl2(FieldSpec(p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rank_and_witness_invariant_under_gl2(strata_for, data):
+    p, k = data.draw(st.sampled_from(
+        [(5, 3), (7, 3), (11, 3), (13, 3), (3, 4), (5, 4), (7, 4)]))
+    f = FieldSpec(p)
+    s = strata_for(p, k)
+    X = compact_decode(data.draw(st.integers(0, p ** (k + 1) - 1)), f, k).full()
+    g = data.draw(st.sampled_from(gl2(p)))
+    gX = act_diagonal(g, X)
+    r = symmetric_rank(X, s)
+    assert symmetric_rank(gX, s) == r
+    if r is None:  # only p = 3, k = 4 has undecomposable tensors here
+        return
+    (a, b), (c, d) = g.m
+    total = [0] * (1 << k)
+    for v1, v2 in decompose(X, s).vectors:
+        term = symmetric_outer_power(((a * v1 + b * v2) % p, (c * v1 + d * v2) % p), k, f)
+        total = [(x + y) % p for x, y in zip(total, term.entries)]
+    assert tuple(total) == gX.entries
