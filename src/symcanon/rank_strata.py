@@ -16,19 +16,21 @@ into one array over all codes, then codes ranked earlier are cleared.
 Generators are ordered by their least generating vector, so witnesses
 are reproducible across runs.
 
-General (unconstrained) strata run the same layering over the full
-p^(2^k) tensor space with stratum 1 the simple tensors a1 (x) ... (x) ak.
-Layer expansion is a sumset in the additive group Z_p^(2^k), computed as
-the support of a cyclic convolution of indicator arrays via FFT; a
-configurable budget caps the space size and makes the infeasible cases
-(e.g. p = 7, k = 4 with ~3.3e13 codes) fail explicitly.  Only per-layer
-sizes and a rank lookup table are retained for the general case.
+General (unconstrained) strata layer the full p^(2^k) space of split
+full codes from the simple tensors a1 (x) ... (x) ak by a direction-
+optimizing search (Beamer, Asanovic and Patterson, SC'12): push frontier
++ generators while the frontier is small, pull once it is dense (an
+unranked u is ranked if some u - g lies in the previous layer).  The
+simple tensors are closed under negation, so {u - g} = {u + g} and one
+pair of tables serves both.  A budget caps the space (e.g. p = 7, k = 4
+with ~3.3e13 codes fails explicitly); codes are int32, so spaces beyond
+2^31 codes are refused whatever the budget.  Only per-layer sizes and a
+rank lookup table are retained for the general case.
 """
 
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.fft
 
 from .errors import AsymmetricTensorError, BudgetExceededError, UndecomposableError
 from .gfp import FieldSpec
@@ -48,8 +50,12 @@ DEFAULT_BUDGET = 10**8
 
 # (frontier code, generator) candidates per chunk of a layer expansion
 _CHUNK_ROWS = 1 << 22
+_MAX_CODES = 1 << 31  # translation tables hold int32 codes
 
-_FFT_WORKERS = -1  # scipy: use all cores
+# general strata push iff |frontier| * G <= _PUSH_FACTOR * |unranked| and
+# pull _PULL_CHUNK unranked codes at a time
+_PUSH_FACTOR = 10
+_PULL_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -136,16 +142,13 @@ def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET):
     """Layered generation of symmetric-rank strata over F_p, order k."""
     p = field.p
     N = p ** (k + 1)
-    if N > budget:
-        raise BudgetExceededError(
-            f"symmetric code space {N} exceeds the budget of {budget} codes"
-        )
+    _refuse_oversized("symmetric code space", N, budget)
     gens = rank_one_generators(field, k)
     gen_codes = np.array([c for c, _ in gens], dtype=np.int64)
     G = gen_codes.size
-    # code + generator g == TH[code // low, g] + TL[code % low, g]
+    # code + generator g == TH[g, code // low] + TL[g, code % low]
     low = p ** ((k + 1) // 2)
-    TH = _translations(gen_codes // low, p, k + 1 - (k + 1) // 2) * low
+    TH = _translations(gen_codes // low, p, k + 1 - (k + 1) // 2, low)
     TL = _translations(gen_codes % low, p, (k + 1) // 2)
 
     rank_of = np.full(N, -1, dtype=np.int8)
@@ -181,11 +184,30 @@ def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET):
     )
 
 
-def _translations(gen_parts, p, width):
-    """(p^width, G) table: every width-digit code plus every part, digit-wise."""
-    digits = digits_of_codes(np.arange(p**width), p, width)
-    summed = (digits[:, None, :] + digits_of_codes(gen_parts, p, width)) % p
-    return summed @ p ** np.arange(width - 1, -1, -1, dtype=np.int64)
+def _refuse_oversized(space_name, size, budget):
+    for limit, name in ((budget, "budget"), (_MAX_CODES, "int32 limit")):
+        if size > limit:
+            raise BudgetExceededError(f"{space_name} {size} exceeds the {name} of {limit} codes")
+
+
+def _translations(gen_parts, p, width, scale=1):
+    """(G, p^width) int32 table: scale * (every code plus part g, digit-wise),
+    built as a Kronecker sum one digit at a time, least significant first."""
+    digits = digits_of_codes(gen_parts, p, width)
+    T = np.zeros((len(gen_parts), 1), dtype=np.int32)
+    for j in range(width - 1, -1, -1):
+        top = ((np.arange(p) + digits[:, j, None]) % p * (scale * p ** (width - 1 - j))).astype(np.int32)
+        T = (top[:, :, None] + T[:, None, :]).reshape(len(gen_parts), -1)
+    return T
+
+
+def _translated(frontier, TH, TL, low):
+    """Yields (g, frontier + generators g, g+1, ...) in (block, |F|) chunks."""
+    hi, lo = frontier // low, frontier % low
+    block = max(1, _CHUNK_ROWS // frontier.size)
+    for g in range(0, TH.shape[0], block):
+        # take along axis 1 keeps the block contiguous, unlike TH[g:g+block, hi]
+        yield g, np.take(TH[g : g + block], hi, axis=1) + np.take(TL[g : g + block], lo, axis=1)
 
 
 def _expand_layer(frontier, G, TH, TL, low, rank_of):
@@ -197,11 +219,8 @@ def _expand_layer(frontier, G, TH, TL, low, rank_of):
     """
     sentinel = np.iinfo(np.int64).max
     best = np.full(rank_of.size, sentinel, dtype=np.int64)
-    rows_per_chunk = max(1, _CHUNK_ROWS // G)
-    for start in range(0, frontier.size, rows_per_chunk):
-        chunk = frontier[start : start + rows_per_chunk]
-        codes = TH[chunk // low] + TL[chunk % low]
-        keys = chunk[:, None] * G + np.arange(G, dtype=np.int64)
+    for g, codes in _translated(frontier, TH, TL, low):
+        keys = frontier * G + np.arange(g, g + codes.shape[0])[:, None]
         np.minimum.at(best, codes.ravel(), keys.ravel())  # 1-D: ufunc.at fast path
     best[rank_of >= 0] = sentinel
     codes = np.flatnonzero(best < sentinel)
@@ -296,36 +315,56 @@ def general_rank_strata(field, k, budget=DEFAULT_BUDGET):
     p = field.p
     n = 1 << k
     space = p**n
-    if space > budget:
-        raise BudgetExceededError(
-            f"full code space p^(2^k) = {space} exceeds the budget of {budget} codes"
-        )
-    shape = (p,) * n
-
-    gen_ind = np.zeros(space, dtype=np.float64)
+    _refuse_oversized("full code space p^(2^k) =", space, budget)
     gens = simple_tensor_codes(field, k)
-    gen_ind[gens] = 1.0
-    gen_hat = scipy.fft.rfftn(gen_ind.reshape(shape), workers=_FFT_WORKERS)
+    # code + generator g == TH[g, code // low] + TL[g, code % low]
+    low = p ** (n // 2)
+    TH = _translations(gens // low, p, n - n // 2, low)
+    TL = _translations(gens % low, p, n // 2)
 
     rank_of = np.full(space, -1, dtype=np.int8)
     rank_of[0] = 0
     rank_of[gens] = 1
     sizes = [1, int(gens.size)]
-    frontier_ind = gen_ind
-    while True:
-        spec = scipy.fft.rfftn(frontier_ind.reshape(shape), workers=_FFT_WORKERS)
-        spec *= gen_hat
-        counts = scipy.fft.irfftn(spec, s=shape, workers=_FFT_WORKERS).ravel()
-        # counts are exact nonnegative integers up to FFT roundoff
-        reached = counts > 0.5
-        bad = np.abs(counts - np.round(counts)).max()
-        if bad > 0.1:
-            raise AssertionError(f"FFT convolution lost integrality (deviation {bad})")
-        new = reached & (rank_of < 0)
-        n_new = int(np.count_nonzero(new))
+    unranked = space - 1 - gens.size
+    while unranked:
+        r = len(sizes)
+        if sizes[-1] * gens.size <= _PUSH_FACTOR * unranked:
+            _push(np.flatnonzero(rank_of == r - 1), r, TH, TL, low, rank_of)
+        else:
+            _pull(r, TH, TL, low, rank_of)
+        n_new = int(np.count_nonzero(rank_of == r))
         if n_new == 0:
             break
-        rank_of[new] = len(sizes)
         sizes.append(n_new)
-        frontier_ind = new.astype(np.float64)
+        unranked -= n_new
     return GeneralRankStratification(field=field, order=k, sizes=sizes, _rank_of=rank_of)
+
+
+def _push(frontier, r, TH, TL, low, rank_of):
+    """Ranks r every unranked frontier code plus a generator."""
+    hit = np.zeros(rank_of.size, dtype=bool)
+    for _, codes in _translated(frontier, TH, TL, low):
+        hit[codes.ravel()] = True
+    rank_of[hit & (rank_of < 0)] = r
+
+
+def _pull(r, TH, TL, low, rank_of):
+    """Ranks r every unranked code u with some u - g (= u + g') of rank r - 1.
+
+    Generator blocks grow from 4 to 64: most codes hit within a few.
+    """
+    unranked = np.flatnonzero(rank_of < 0)
+    for start in range(0, unranked.size, _PULL_CHUNK):
+        u = unranked[start : start + _PULL_CHUNK]
+        hi, lo = u // low, u % low
+        g, block = 0, 4
+        while g < TH.shape[0] and u.size:
+            codes = np.take(TH[g : g + block], hi, axis=1) + np.take(TL[g : g + block], lo, axis=1)
+            hit = (rank_of[codes] == r - 1).any(axis=0)
+            if hit.any():
+                rank_of[u[hit]] = r
+                miss = np.flatnonzero(~hit)
+                u, hi, lo = u[miss], hi[miss], lo[miss]
+            g += block
+            block = min(2 * block, 64)

@@ -249,6 +249,14 @@ def test_decompose_rejects_corrupt_parent_link():
         decompose(X, s)
 
 
+def run_python(*args):
+    """Stdout of a fresh interpreter that imports this symcanon."""
+    path = [str(Path(symcanon.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_corrupt_parent_link_detected_under_python_O():
     # python -O strips assert statements; decompose must still refuse
     script = """
@@ -264,10 +272,7 @@ try:
 except AssertionError as exc:
     print("raised:", exc)
 """
-    path = [str(Path(symcanon.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python("-O", "-c", script)
     assert out.startswith("raised:") and "parent links corrupt" in out
 
 
@@ -310,6 +315,59 @@ def test_budget_refusals():
         general_rank_strata(FieldSpec(11), 3)  # 11^8 > default budget
     with pytest.raises(BudgetExceededError):
         symmetric_rank_strata(FieldSpec(17), 3, budget=1000)
+
+
+# SHA-256 of the general _rank_of, recorded from the FFT sumset search that
+# the push/pull layered search replaced.
+PINNED_GENERAL_SHA256 = {
+    (2, 3): "d6bc865ee17a2e9a492113d134fb35de3ff953a42e111c67e662299c08603847",
+    (3, 3): "0beb68258fa11de69be797476b438a21ed8d2cd7407cbbf50e36c94f570f7989",
+    (5, 3): "7c4d8ac211ae3a1bdb1b99a435c99191268625928be04dc680201ed8d9b1e377",
+    (7, 3): "f9a5d7544f0a7a77364a953e1616ad50f7eeb6fe42906f1d2f62972b9fd4fb5c",
+    (2, 4): "cf887880f4634f49988e8c98ed44c9b27c45746c2cce0bdc2b73357125fdbfce",
+    (3, 4): "689055095fb2940d9de5e8c6e950486ac9142c84d2d24a969b41f7c7447ffd3d",
+}
+
+
+def general_sha256(g):
+    return hashlib.sha256(g._rank_of.tobytes()).hexdigest()
+
+
+def test_general_rank_of_pinned(general_for):
+    for (p, k), expected in PINNED_GENERAL_SHA256.items():
+        g = general_for(p, k)
+        assert g._rank_of.dtype == np.int8
+        assert general_sha256(g) == expected, (p, k)
+
+
+@pytest.mark.parametrize("settings", [
+    {"_PUSH_FACTOR": 0},                          # every layer pulls
+    {"_PUSH_FACTOR": 10**18},                     # every layer pushes
+    {"_CHUNK_ROWS": 1000, "_PULL_CHUNK": 100},    # many chunks per layer
+], ids=["all-pull", "all-push", "small-chunks"])
+def test_general_search_directions_and_chunks(monkeypatch, settings):
+    for name, value in settings.items():
+        monkeypatch.setattr(rank_strata, name, value)
+    for p, k in [(2, 3), (3, 3), (5, 3), (2, 4)]:
+        g = general_rank_strata(FieldSpec(p), k)
+        assert general_sha256(g) == PINNED_GENERAL_SHA256[(p, k)], (p, k, settings)
+
+
+def test_int32_code_limit_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("generators built for a refused space")
+
+    monkeypatch.setattr(rank_strata, "simple_tensor_codes", no_work)
+    monkeypatch.setattr(rank_strata, "rank_one_generators", no_work)
+    with pytest.raises(BudgetExceededError, match="int32"):
+        general_rank_strata(FieldSpec(17), 3, budget=10**10)  # 17^8 ~ 7.0e9 codes
+    with pytest.raises(BudgetExceededError, match="int32"):
+        symmetric_rank_strata(FieldSpec(79), 4, budget=10**10)  # 79^5 ~ 3.1e9 codes
+
+
+def test_import_does_not_load_scipy():
+    script = "import sys, symcanon; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert run_python("-c", script).strip() == "[]"
 
 
 def test_general_strata_small_spaces(general_for):
