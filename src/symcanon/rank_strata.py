@@ -1,31 +1,28 @@
-"""Layered generation of rank strata.
+"""Layered generation of rank strata: one search serves both rank notions.
 
-Symmetric strata: stratum 1 is the set of distinct symmetric simple
-tensors a^(x)k over nonzero a; stratum r+1 collects the sums X + Y with
-X in stratum r and Y in stratum 1 that have not appeared in any earlier
-stratum.  The search runs on compact codes (the k+1 class coefficients
-add coefficient-wise) and stops once every code is ranked or a layer
-comes out empty; whatever is never reached has no symmetric
-decomposition.  Adding a generator acts digit-wise, so it translates the
-high and the low half of a code on their own: per-generator tables of
-translated halves make each candidate two gathers and one add.
+Stratum 0 is the zero tensor, stratum 1 the simple tensors (generators);
+an unranked code X + g with X in stratum r - 1 has rank r, and codes
+never reached have no decomposition.  Adding a generator acts digit-wise
+on the high and the low half of a code, so per-generator tables of
+translated halves make each sum two gathers and one add.  Each layer of
+`_layered_search` pushes (frontier + every generator) while the frontier
+is small and pulls once it is dense (an unranked u is ranked if some
+u - g lies in the previous layer): Beamer, Asanovic and Patterson,
+"Direction-Optimizing Breadth-First Search", SC'12.
 
-Each new tensor records one derivation, the minimum (predecessor code,
-generator index) pair over its layer: all candidates are scatter-mined
-into one array over all codes, then codes ranked earlier are cleared.
-Generators are ordered by their least generating vector, so witnesses
-are reproducible across runs.
-
-General (unconstrained) strata layer the full p^(2^k) space of split
-full codes from the simple tensors a1 (x) ... (x) ak by a direction-
-optimizing search (Beamer, Asanovic and Patterson, SC'12): push frontier
-+ generators while the frontier is small, pull once it is dense (an
-unranked u is ranked if some u - g lies in the previous layer).  The
-simple tensors are closed under negation, so {u - g} = {u + g} and one
-pair of tables serves both.  A budget caps the space (e.g. p = 7, k = 4
-with ~3.3e13 codes fails explicitly); codes are int32, so spaces beyond
-2^31 codes are refused whatever the budget.  Only per-layer sizes and a
-rank lookup table are retained for the general case.
+The pull needs tables of code - g.  The general simple tensors
+a1 (x) ... (x) ak are closed under negation, so one pair of tables serves
+both directions; the symmetric a^(x)k are not (-a^(x)4 is simple only
+when -1 is a fourth power), so their pull gets tables of the digit-wise
+negated generators.  Symmetric strata run on compact codes (the k+1 class
+coefficients add coefficient-wise) and store no parent links: the
+derivation of a code c of rank r is the least pred * G + gen with
+pred = c - generator gen of rank r - 1, derived on demand.  Generators are
+ordered by their least generating vector, so witnesses are reproducible.
+General strata run on full codes and keep only layer sizes and ranks.  A
+budget caps the space (p = 7, k = 4 with ~3.3e13 codes fails explicitly);
+codes are int32, so spaces beyond 2^31 codes are refused whatever the
+budget.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -48,12 +45,12 @@ from .tensor import (
 
 DEFAULT_BUDGET = 10**8
 
-# (frontier code, generator) candidates per chunk of a layer expansion
+# (code, generator) sums per chunk of a push or a parent lookup
 _CHUNK_ROWS = 1 << 22
 _MAX_CODES = 1 << 31  # translation tables hold int32 codes
 
-# general strata push iff |frontier| * G <= _PUSH_FACTOR * |unranked| and
-# pull _PULL_CHUNK unranked codes at a time
+# a layer pushes iff |frontier| * G <= _PUSH_FACTOR * |unranked| and
+# pulls _PULL_CHUNK unranked codes at a time
 _PUSH_FACTOR = 10
 _PULL_CHUNK = 1 << 18
 
@@ -70,8 +67,9 @@ class RankStratification:
     """Symmetric-rank layers of all p^(k+1) symmetric tensors.
 
     strata[r] holds the full tensor codes of symmetric rank r, sorted
-    ascending; undecomposable holds the codes never reached.  Parent
-    links live on compact codes internally; parent_of exposes them.
+    ascending; undecomposable holds the codes never reached.  Ranks and
+    generator codes are kept on compact codes internally; parent_of and
+    decompose derive the least derivation from them on demand.
     """
 
     field: FieldSpec
@@ -80,8 +78,7 @@ class RankStratification:
     undecomposable: np.ndarray   # sorted int64 array of full codes
     generator_vectors: list      # vector per generator, BFS tie-break order
     _rank_of: np.ndarray = dataclass_field(repr=False, default=None)
-    _parent_pred: np.ndarray = dataclass_field(repr=False, default=None)
-    _parent_gen: np.ndarray = dataclass_field(repr=False, default=None)
+    _gen_codes: np.ndarray = dataclass_field(repr=False, default=None)  # compact, per generator
 
     @property
     def max_rank(self):
@@ -95,7 +92,7 @@ class RankStratification:
         return None if r < 0 else r
 
     def parent_of(self, X):
-        """One recorded derivation: (predecessor SymTensor, generator vector).
+        """The least derivation: (predecessor SymTensor, generator vector).
 
         None for the zero tensor; errors on undecomposable input.
         """
@@ -104,8 +101,9 @@ class RankStratification:
             return None
         if self._rank_of[code] < 0:
             raise UndecomposableError("tensor has no symmetric decomposition")
-        pred = compact_decode(int(self._parent_pred[code]), self.field, self.order).full()
-        return pred, self.generator_vectors[int(self._parent_gen[code])]
+        pred, gen = _parents(self, np.array([code]), _minus_tables(self))
+        pred = compact_decode(int(pred[0]), self.field, self.order).full()
+        return pred, self.generator_vectors[int(gen[0])]
 
 
 def _compact_code_of(X, s):
@@ -145,32 +143,10 @@ def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET):
     _refuse_oversized("symmetric code space", N, budget)
     gens = rank_one_generators(field, k)
     gen_codes = np.array([c for c, _ in gens], dtype=np.int64)
-    G = gen_codes.size
-    # code + generator g == TH[g, code // low] + TL[g, code % low]
-    low = p ** ((k + 1) // 2)
-    TH = _translations(gen_codes // low, p, k + 1 - (k + 1) // 2, low)
-    TL = _translations(gen_codes % low, p, (k + 1) // 2)
-
-    rank_of = np.full(N, -1, dtype=np.int8)
-    parent_pred = np.full(N, -1, dtype=np.int64)
-    parent_gen = np.full(N, -1, dtype=np.int32)
-
-    rank_of[0] = 0
-    rank_of[gen_codes] = 1
-    parent_pred[gen_codes] = 0
-    parent_gen[gen_codes] = np.arange(G, dtype=np.int32)
-
-    compact_strata = [np.array([0], dtype=np.int64), np.sort(gen_codes)]
-    while (rank_of < 0).any():
-        new_codes, preds, gidx = _expand_layer(compact_strata[-1], G, TH, TL, low, rank_of)
-        if new_codes.size == 0:
-            break
-        rank_of[new_codes] = len(compact_strata)
-        parent_pred[new_codes] = preds
-        parent_gen[new_codes] = gidx
-        compact_strata.append(new_codes)
-
-    undecomposable = np.flatnonzero(rank_of < 0).astype(np.int64)
+    plus, minus = _tables(gen_codes, p, k + 1), _tables(gen_codes, p, k + 1, sign=-1)
+    rank_of, sizes = _layered_search(N, gen_codes, plus, minus)
+    compact_strata = [np.flatnonzero(rank_of == r) for r in range(len(sizes))]
+    undecomposable = np.flatnonzero(rank_of < 0)
     W = compact_weights(p, k)
     return RankStratification(
         field=field,
@@ -179,8 +155,7 @@ def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET):
         undecomposable=digits_of_codes(undecomposable, p, k + 1) @ W,
         generator_vectors=[vec for _, vec in gens],
         _rank_of=rank_of,
-        _parent_pred=parent_pred,
-        _parent_gen=parent_gen,
+        _gen_codes=gen_codes,
     )
 
 
@@ -190,10 +165,24 @@ def _refuse_oversized(space_name, size, budget):
             raise BudgetExceededError(f"{space_name} {size} exceeds the {name} of {limit} codes")
 
 
-def _translations(gen_parts, p, width, scale=1):
-    """(G, p^width) int32 table: scale * (every code plus part g, digit-wise),
-    built as a Kronecker sum one digit at a time, least significant first."""
-    digits = digits_of_codes(gen_parts, p, width)
+def _tables(gen_codes, p, width, sign=1):
+    """(TH, TL, low) with code + sign * g == TH[g, code // low] + TL[g, code % low],
+    digit-wise, for codes of width digits split into high and low halves."""
+    low = p ** (width // 2)
+    return (_translations(gen_codes // low, p, width - width // 2, sign, low),
+            _translations(gen_codes % low, p, width // 2, sign), low)
+
+
+def _minus_tables(s):
+    """Tables of compact code - generator for a symmetric stratification."""
+    return _tables(s._gen_codes, s.field.p, s.order + 1, sign=-1)
+
+
+def _translations(gen_parts, p, width, sign, scale=1):
+    """(G, p^width) int32 table: scale * (every code plus sign * part g,
+    digit-wise), built as a Kronecker sum one digit at a time, least
+    significant first."""
+    digits = sign * digits_of_codes(gen_parts, p, width)
     T = np.zeros((len(gen_parts), 1), dtype=np.int32)
     for j in range(width - 1, -1, -1):
         top = ((np.arange(p) + digits[:, j, None]) % p * (scale * p ** (width - 1 - j))).astype(np.int32)
@@ -210,22 +199,23 @@ def _translated(frontier, TH, TL, low):
         yield g, np.take(TH[g : g + block], hi, axis=1) + np.take(TL[g : g + block], lo, axis=1)
 
 
-def _expand_layer(frontier, G, TH, TL, low, rank_of):
-    """Sums frontier + generators not seen before, with min-(pred, gen) parents.
+def _parents(s, codes, minus):
+    """Least derivation (pred, gen) of each code of rank >= 1, as arrays.
 
-    Each candidate is two row gathers and one add; all are scatter-mined
-    by key pred*G + gen into one array over all codes, unfiltered, and
-    codes ranked earlier are cleared once at the end of the layer.
+    pred = code - generator gen (digit-wise, from the tables `minus`) has
+    rank one lower, and pred * G + gen is least among all such pairs.
     """
+    G = s._gen_codes.size
+    r = s._rank_of[codes]
     sentinel = np.iinfo(np.int64).max
-    best = np.full(rank_of.size, sentinel, dtype=np.int64)
-    for g, codes in _translated(frontier, TH, TL, low):
-        keys = frontier * G + np.arange(g, g + codes.shape[0])[:, None]
-        np.minimum.at(best, codes.ravel(), keys.ravel())  # 1-D: ufunc.at fast path
-    best[rank_of >= 0] = sentinel
-    codes = np.flatnonzero(best < sentinel)
-    keys = best[codes]
-    return codes, keys // G, keys % G
+    best = np.full(codes.size, sentinel, dtype=np.int64)
+    for g, preds in _translated(codes, *minus):
+        keys = preds * np.int64(G) + np.arange(g, g + preds.shape[0])[:, None]
+        keys[s._rank_of[preds] != r - 1] = sentinel
+        best = np.minimum(best, keys.min(axis=0))
+    if (best == sentinel).any():
+        raise AssertionError("no predecessor one rank lower; rank table corrupt")
+    return best // G, best % G
 
 
 def symmetric_rank(X, s):
@@ -234,7 +224,7 @@ def symmetric_rank(X, s):
 
 
 def decompose(X, s):
-    """Vectors whose symmetric outer powers sum to X, via the parent links.
+    """Vectors whose symmetric outer powers sum to X, along least derivations.
 
     The witness is re-evaluated before it is returned.  Undecomposable
     input raises UndecomposableError.
@@ -244,20 +234,20 @@ def decompose(X, s):
     if r is None:
         raise UndecomposableError("tensor has no symmetric decomposition")
     p = s.field.p
+    minus = _minus_tables(s)
     vectors = []
-    while code != 0:
-        vectors.append(s.generator_vectors[int(s._parent_gen[code])])
-        code = int(s._parent_pred[code])
+    for _ in range(r):
+        pred, gen = _parents(s, np.array([code]), minus)
+        vectors.append(s.generator_vectors[int(gen[0])])
+        code = int(pred[0])
     vectors.reverse()
-    if len(vectors) != r:
-        raise AssertionError("witness length differs from the rank; parent links corrupt")
 
     total = [0] * (1 << s.order)
     for v in vectors:
         term = symmetric_outer_power(v, s.order, s.field)
         total = [(a + b) % p for a, b in zip(total, term.entries)]
     if tuple(total) != X.entries:
-        raise AssertionError("witness re-evaluation failed; parent links corrupt")
+        raise AssertionError("witness re-evaluation failed; rank table corrupt")
     return Witness(tuple(vectors))
 
 
@@ -317,11 +307,16 @@ def general_rank_strata(field, k, budget=DEFAULT_BUDGET):
     space = p**n
     _refuse_oversized("full code space p^(2^k) =", space, budget)
     gens = simple_tensor_codes(field, k)
-    # code + generator g == TH[g, code // low] + TL[g, code % low]
-    low = p ** (n // 2)
-    TH = _translations(gens // low, p, n - n // 2, low)
-    TL = _translations(gens % low, p, n // 2)
+    # -a1 (x) a2 (x) ... is simple, so code - g over all g is code + g over all g
+    plus = _tables(gens, p, n)
+    rank_of, sizes = _layered_search(space, gens, plus, plus)
+    return GeneralRankStratification(field=field, order=k, sizes=sizes, _rank_of=rank_of)
 
+
+def _layered_search(space, gens, plus, minus):
+    """(rank_of, sizes): int8 rank of every code, -1 if never reached, and
+    the size of each layer.  `plus` and `minus` are the `_tables` of code
+    + g and code - g over the generator codes `gens`."""
     rank_of = np.full(space, -1, dtype=np.int8)
     rank_of[0] = 0
     rank_of[gens] = 1
@@ -330,15 +325,15 @@ def general_rank_strata(field, k, budget=DEFAULT_BUDGET):
     while unranked:
         r = len(sizes)
         if sizes[-1] * gens.size <= _PUSH_FACTOR * unranked:
-            _push(np.flatnonzero(rank_of == r - 1), r, TH, TL, low, rank_of)
+            _push(np.flatnonzero(rank_of == r - 1), r, *plus, rank_of)
         else:
-            _pull(r, TH, TL, low, rank_of)
+            _pull(r, *minus, rank_of)
         n_new = int(np.count_nonzero(rank_of == r))
         if n_new == 0:
             break
         sizes.append(n_new)
         unranked -= n_new
-    return GeneralRankStratification(field=field, order=k, sizes=sizes, _rank_of=rank_of)
+    return rank_of, sizes
 
 
 def _push(frontier, r, TH, TL, low, rank_of):
@@ -350,7 +345,8 @@ def _push(frontier, r, TH, TL, low, rank_of):
 
 
 def _pull(r, TH, TL, low, rank_of):
-    """Ranks r every unranked code u with some u - g (= u + g') of rank r - 1.
+    """Ranks r every unranked code u with some u - g (from the tables) of
+    rank r - 1.
 
     Generator blocks grow from 4 to 64: most codes hit within a few.
     """

@@ -32,7 +32,7 @@ from symcanon import (
 )
 from symcanon import rank_strata
 from symcanon.rank_strata import rank_one_generators
-from symcanon.tensor import compact_decode
+from symcanon.tensor import compact_decode, compact_encode, compact_from_full
 
 from conftest import ALL_PAIRS
 
@@ -164,8 +164,10 @@ def test_asymmetric_input_raises_asymmetric_tensor_error():
         s.parent_of(X)
 
 
-# SHA-256 over _rank_of, _parent_pred, _parent_gen, every stratum and the
-# undecomposable codes, in that order; pins the BFS discovery order.
+# SHA-256 over _rank_of, the parent arrays (int64 pred, int32 gen, -1 where
+# the rank is not >= 1), every stratum and the undecomposable codes, in that
+# order; pins the least derivations.  Recorded when the parent arrays were
+# stored; they are now derived by _parents.
 PINNED_STRATA_SHA256 = {
     (2, 3): "0453457a7c25dfe8331c0100185b282f46b1849c32c9a6888a79e43dde139aa2",
     (3, 3): "eb875ec7d0ae4ca2f5a66d1d7f31e6939e8babdba852c96b93fd25c85d938c05",
@@ -188,9 +190,17 @@ PINNED_STRATA_SHA256_BEYOND_FIXTURES = {
 }
 
 
+def parent_arrays(s):
+    pred = np.full(s._rank_of.size, -1, dtype=np.int64)
+    gen = np.full(s._rank_of.size, -1, dtype=np.int32)
+    codes = np.flatnonzero(s._rank_of > 0)
+    pred[codes], gen[codes] = rank_strata._parents(s, codes, rank_strata._minus_tables(s))
+    return pred, gen
+
+
 def strata_sha256(s):
     h = hashlib.sha256()
-    for a in (s._rank_of, s._parent_pred, s._parent_gen, *s.strata, s.undecomposable):
+    for a in (s._rank_of, *parent_arrays(s), *s.strata, s.undecomposable):
         h.update(a.tobytes())
     return h.hexdigest()
 
@@ -206,12 +216,33 @@ def test_parent_links_pinned_beyond_fixtures():
         assert strata_sha256(symmetric_rank_strata(FieldSpec(p), k)) == expected, (p, k)
 
 
-def test_chunk_boundaries_do_not_change_parent_links(monkeypatch):
-    # at 1000 candidates per chunk every large layer spans many chunks
-    monkeypatch.setattr(rank_strata, "_CHUNK_ROWS", 1000)
-    for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
-        s = symmetric_rank_strata(FieldSpec(p), k)
-        assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k)
+@pytest.mark.parametrize("p,k", [(3, 3), (5, 3), (2, 4), (3, 4)])
+def test_parent_of_is_least_derivation(p, k):
+    # independent oracle: the least (pred code, generator index) over a plain
+    # loop of digit-wise differences code - generator of rank one lower
+    f = FieldSpec(p)
+    s = symmetric_rank_strata(f, k)
+    gens = rank_one_generators(f, k)
+    rank = {c: symmetric_rank(compact_decode(c, f, k).full(), s) for c in range(p ** (k + 1))}
+
+    def digits(c):
+        return [(c // p ** (k - j)) % p for j in range(k + 1)]
+
+    def undigits(ds):
+        return sum(d * p ** (k - j) for j, d in enumerate(ds))
+
+    for code, r in rank.items():
+        if not r:
+            continue
+        expected = min(
+            (pred, i)
+            for i, (g, _) in enumerate(gens)
+            for pred in [undigits([(a - b) % p for a, b in zip(digits(code), digits(g))])]
+            if rank[pred] == r - 1
+        )
+        pred, vec = s.parent_of(compact_decode(code, f, k).full())
+        got = (compact_encode(compact_from_full(pred)), s.generator_vectors.index(vec))
+        assert got == expected, (p, k, code)
 
 
 def test_rank_one_generator_counts():
@@ -241,12 +272,14 @@ def test_decompose_undecomposable_raises():
 
 
 def test_decompose_rejects_corrupt_parent_link():
-    s = symmetric_rank_strata(F3, 3)  # fresh: the links are mutated below
+    s = symmetric_rank_strata(F3, 3)  # fresh: the rank table is mutated below
     code = int(np.flatnonzero(s._rank_of == 2)[0])
     X = compact_decode(code, F3, 3).full()
-    s._parent_pred[code] = 0  # chain now stops one step short of rank 2
-    with pytest.raises(AssertionError, match="witness length"):
+    s._rank_of[s._rank_of == 1] = -1  # a rank-2 code now has no predecessor
+    with pytest.raises(AssertionError, match="no predecessor one rank lower"):
         decompose(X, s)
+    with pytest.raises(AssertionError, match="no predecessor one rank lower"):
+        s.parent_of(X)
 
 
 def run_python(*args):
@@ -266,14 +299,14 @@ from symcanon.tensor import compact_decode
 f = FieldSpec(3)
 s = symmetric_rank_strata(f, 3)
 code = int(np.flatnonzero(s._rank_of == 2)[0])
-s._parent_pred[code] = 0
+s._rank_of[s._rank_of == 1] = -1
 try:
     decompose(compact_decode(code, f, 3).full(), s)
 except AssertionError as exc:
     print("raised:", exc)
 """
     out = run_python("-O", "-c", script)
-    assert out.startswith("raised:") and "parent links corrupt" in out
+    assert out.startswith("raised:") and "no predecessor one rank lower; rank table corrupt" in out
 
 
 def test_decompose_resums_everywhere_small():
@@ -346,8 +379,12 @@ def test_general_rank_of_pinned(general_for):
     {"_CHUNK_ROWS": 1000, "_PULL_CHUNK": 100},    # many chunks per layer
 ], ids=["all-pull", "all-push", "small-chunks"])
 def test_general_search_directions_and_chunks(monkeypatch, settings):
+    # one engine serves both rank notions, so each setting checks both pins
     for name, value in settings.items():
         monkeypatch.setattr(rank_strata, name, value)
+    for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
+        s = symmetric_rank_strata(FieldSpec(p), k)
+        assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k, settings)
     for p, k in [(2, 3), (3, 3), (5, 3), (2, 4)]:
         g = general_rank_strata(FieldSpec(p), k)
         assert general_sha256(g) == PINNED_GENERAL_SHA256[(p, k)], (p, k, settings)
