@@ -245,6 +245,15 @@ def test_parent_of_is_least_derivation(p, k):
         assert got == expected, (p, k, code)
 
 
+def test_chunk_boundaries_do_not_change_parent_links(monkeypatch):
+    # at 1000 candidates per chunk every large push layer spans many chunks,
+    # while pull layers keep their default chunk size
+    monkeypatch.setattr(rank_strata, "_CHUNK_ROWS", 1000)
+    for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
+        s = symmetric_rank_strata(FieldSpec(p), k)
+        assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k)
+
+
 def test_rank_one_generator_counts():
     # distinct symmetric simple tensors = stratum-1 sizes
     assert len(rank_one_generators(FieldSpec(7), 3)) == 16
