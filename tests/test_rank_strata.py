@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from symcanon import (
     FieldSpec,
     Tensor,
     UndecomposableError,
+    act,
     act_diagonal,
     decode,
     decompose,
@@ -382,6 +383,17 @@ def test_general_rank_of_pinned(general_for):
         assert general_sha256(g) == expected, (p, k)
 
 
+def is_mode1_rref(code, p, k):
+    """Whether [u1; u2], the matrix of the code's two mode-1 slices, is
+    nonzero and in reduced row echelon form."""
+    m = 1 << (k - 1)
+    rows = [decode(half, FieldSpec(p), k - 1).entries for half in divmod(int(code), p**m)]
+    j1, j2 = (next((j for j, x in enumerate(row) if x), None) for row in rows)
+    if j1 is None or rows[0][j1] != 1:
+        return False
+    return j2 is None or (rows[1][j2] == 1 and j2 > j1 and rows[0][j2] == 0)
+
+
 @pytest.mark.parametrize("settings", [
     {"_PUSH_FACTOR": 0},                          # every layer pulls
     {"_PUSH_FACTOR": 10**18},                     # every layer pushes
@@ -394,9 +406,104 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
     for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
         s = symmetric_rank_strata(FieldSpec(p), k)
         assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k, settings)
+    # general pulls must test mode-1 representatives only, closed afterwards
+    calls = {"_pull": [], "_close": []}
+    for name, spied in calls.items():
+        real = getattr(rank_strata, name)
+
+        def spy(*args, real=real, spied=spied):
+            spied.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(rank_strata, name, spy)
+    split_pull = split_close = False
     for p, k in [(2, 3), (3, 3), (5, 3), (2, 4)]:
+        calls["_pull"].clear()
+        calls["_close"].clear()
         g = general_rank_strata(FieldSpec(p), k)
         assert general_sha256(g) == PINNED_GENERAL_SHA256[(p, k)], (p, k, settings)
+        pulled = [args[0] for args in calls["_pull"]]
+        closed = [args[4] for args in calls["_close"]]
+        assert all(is_mode1_rref(c, p, k) for codes in pulled for c in codes.tolist())
+        assert len(closed) == len(pulled)
+        if settings.get("_PUSH_FACTOR") == 0:
+            assert len(pulled) == len(g.sizes) - 2  # every layer past the generators
+        if settings.get("_PUSH_FACTOR") == 10**18:
+            assert pulled == []
+        split_pull |= any(codes.size > rank_strata._PULL_CHUNK for codes in pulled)
+        split_close |= any(reps.size > rank_strata._CHUNK_ROWS // len(gl2(p)) for reps in closed)
+    if "_CHUNK_ROWS" in settings:
+        assert split_pull and split_close
+
+
+def gaussian_binomial_2(p, m):
+    """Number of 2-dimensional subspaces of F_p^m."""
+    return (p**m - 1) * (p ** (m - 1) - 1) // ((p * p - 1) * (p - 1))
+
+
+def mode1_orbit(code, p, k):
+    X = decode(int(code), FieldSpec(p), k)
+    return {encode(act(g, X, 1)) for g in gl2(p)}
+
+
+@pytest.mark.parametrize("p, k, count", [(2, 3, 50), (3, 3, 170), (2, 4, 11050), (3, 4, 899540)])
+def test_mode1_representatives_are_a_transversal(p, k, count):
+    # one representative per nonzero subspace span(X1, X2) of dimension 1 or 2
+    m = 1 << (k - 1)
+    reps, _ = rank_strata._mode1_classes(p, m)
+    assert reps.size == len(set(reps.tolist())) == count
+    assert count == (p**m - 1) // (p - 1) + gaussian_binomial_2(p, m)
+    if (p, k) == (3, 4):
+        return  # 43 M codes: the count only
+    # disjoint orbits covering every nonzero code: one representative per class
+    seen = set()
+    for rep in reps:
+        orbit = mode1_orbit(rep, p, k)
+        assert seen.isdisjoint(orbit), rep
+        seen |= orbit
+    assert seen == set(range(1, p ** (1 << k)))
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1000], ids=["default-chunks", "small-chunks"])
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 3)])
+def test_mode1_closure_writes_exactly_the_orbit(monkeypatch, p, k, chunk_rows):
+    if chunk_rows is not None:
+        monkeypatch.setattr(rank_strata, "_CHUNK_ROWS", chunk_rows)
+    reps, close = rank_strata._mode1_classes(p, 1 << (k - 1))
+    space = p ** (1 << k)
+    for rep in reps:
+        rank_of = np.full(space, -1, dtype=np.int8)
+        close(np.array([rep]), 3, rank_of)
+        assert set(np.flatnonzero(rank_of != -1).tolist()) == mode1_orbit(rep, p, k), rep
+    rank_of = np.full(space, -1, dtype=np.int8)
+    close(reps, 2, rank_of)
+    assert rank_of[0] == -1 and (rank_of[1:] == 2).all()
+
+
+def swap_modes(X, i, j):
+    bi, bj = 1 << (X.order - i), 1 << (X.order - j)
+
+    def swapped(t):
+        rest = t & ~(bi | bj)
+        return rest | (bj if t & bi else 0) | (bi if t & bj else 0)
+
+    return Tensor(X.field, tuple(X.entries[swapped(t)] for t in range(1 << X.order)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_general_rank_invariant_under_every_mode_and_mode_swaps(general_for, data):
+    # the search builds in the mode-1 action only; the other modes and the
+    # mode permutations are an independent check of its ranks
+    p, k = data.draw(st.sampled_from([(3, 3), (2, 4), (3, 4)]))
+    g = general_for(p, k)
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=1 << k, max_size=1 << k))
+    X = Tensor(FieldSpec(p), tuple(entries))
+    r = g.rank_of(X)
+    for mode in range(1, k + 1):
+        assert g.rank_of(act(data.draw(st.sampled_from(gl2(p))), X, mode)) == r, mode
+    i, j = data.draw(st.sampled_from(list(combinations(range(1, k + 1), 2))))
+    assert g.rank_of(swap_modes(X, i, j)) == r, (i, j)
 
 
 def test_int32_code_limit_refused_before_any_work(monkeypatch):
