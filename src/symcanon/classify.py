@@ -1,12 +1,13 @@
-"""Full classification driver: orbit decomposition within each rank stratum.
+"""Full classification: orbits from labels, ranks from the strata.
 
-Per stratum, repeatedly take the minimal remaining code, compute its
-orbit under the diagonal action, emit one record, and remove the orbit.
-Since orbits stay inside a stratum and are untouched until their minimum
-is picked, the minimum of the remaining set is its own orbit's canonical
-form.  Tensors without a symmetric decomposition are processed the same
-way and reported separately; their orbit structure is an extension not
-covered by the published tables.
+`orbit_labels` gives every compact code the least code of its orbit, so
+the distinct labels are the canonical forms and their multiplicities the
+orbit sizes.  Rank is invariant under the action, so each orbit takes
+the rank of its canonical form; a rank that is not constant on an orbit
+means the action or the strata are corrupt and raises.  Tensors without
+a symmetric decomposition are processed the same way and reported
+separately; their orbit structure is an extension not covered by the
+published tables.
 """
 
 import time
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .group_action import action_stack, group_order, _apply_stack
+from .group_action import action_stack, group_order, orbit_labels
 from .rank_strata import DEFAULT_BUDGET, symmetric_rank_strata
-from .tensor import digits_of_codes, full_place_values
+from .tensor import compact_weights, digits_of_codes, twos_counts
 
 
 @dataclass(frozen=True)
@@ -49,56 +50,40 @@ class ClassificationReport:
         return self.records + self.undecomposable_records
 
 
-def _orbits_of_stratum(codes, rank, stack, p, place, n_group):
-    """Decompose one sorted code set into orbit records, minimal element first."""
-    records = []
-    remaining = codes.copy()
-    while remaining.size:
-        x = int(remaining[0])
-        digits = digits_of_codes(np.array([x]), p, place.size)[0]
-        members = np.unique(_apply_stack(stack, digits, p, place))
-        # rank is invariant under the action, so the orbit must sit in the stratum
-        pos = np.searchsorted(remaining, members)
-        if pos.max() >= remaining.size or not (remaining[pos] == members).all():
-            raise AssertionError("orbit escaped its stratum; action or strata corrupt")
-        size = int(members.size)
-        records.append(
-            OrbitRecord(
-                rank=rank,
-                canonical=tuple(int(d) for d in digits),
-                canonical_code=x,
-                orbit_size=size,
-                stabilizer_size=n_group // size,
-            )
-        )
-        keep = np.ones(remaining.size, dtype=bool)
-        keep[pos] = False
-        remaining = remaining[keep]
-    return records
-
-
 def classify(field, k, budget=DEFAULT_BUDGET):
     """Classify all symmetric tensors over F_p of order k into orbits."""
     t0 = time.perf_counter()
+    p = field.p
     strata = symmetric_rank_strata(field, k, budget)
-    stack = action_stack(field, k)
-    place = full_place_values(field.p, k)
+    lab = orbit_labels(action_stack(field, k), p)
+    canon, which, sizes = np.unique(lab, return_inverse=True, return_counts=True)
+    ranks = strata._rank_of[canon]
+    if (strata._rank_of != ranks[which]).any():
+        raise AssertionError("rank is not constant on an orbit; action or strata corrupt")
+    digits = digits_of_codes(canon, p, k + 1)
+    full_codes = digits @ compact_weights(p, k)
+    entries = digits[:, list(twos_counts(k))]
     n_group = group_order(field)
-
-    records = []
-    for r, codes in enumerate(strata.strata):
-        records.extend(_orbits_of_stratum(codes, r, stack, field.p, place, n_group))
-    undec = _orbits_of_stratum(
-        strata.undecomposable, None, stack, field.p, place, n_group
-    )
+    # canonical codes ascend, so a stable sort by rank (-1 first) orders the records
+    records = [
+        OrbitRecord(
+            rank=None if ranks[i] < 0 else int(ranks[i]),
+            canonical=tuple(int(v) for v in entries[i]),
+            canonical_code=int(full_codes[i]),
+            orbit_size=int(sizes[i]),
+            stabilizer_size=n_group // int(sizes[i]),
+        )
+        for i in np.argsort(ranks, kind="stable")
+    ]
+    n_undec = int(np.count_nonzero(ranks < 0))
     return ClassificationReport(
-        p=field.p,
+        p=p,
         order=k,
         group_order=n_group,
         stratum_counts=strata.stratum_sizes(),
         undecomposable_count=int(strata.undecomposable.size),
-        records=records,
-        undecomposable_records=undec,
+        records=records[n_undec:],
+        undecomposable_records=records[:n_undec],
         timing_seconds=time.perf_counter() - t0,
     )
 

@@ -46,9 +46,6 @@ class FieldSpec:
     def sub(self, a, b):
         return (a - b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 

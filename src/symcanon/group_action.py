@@ -3,20 +3,25 @@
 A group element g acts along one mode by replacing every mode fiber
 [v1, v2] with [g11 v1 + g12 v2, g21 v1 + g22 v2]; the diagonal action
 applies the same g along every mode, which is exactly the change of
-basis that preserves symmetry.  On flattened entries the diagonal
-action is the k-fold Kronecker power of g, so orbits are computed by a
-single stacked matrix product over the whole group: the group order is
-at most (17^2 - 1)(17^2 - 17) = 78336 in the supported range, and full
-application also yields stabilizer counts for free.
+basis that preserves symmetry.  On the k+1 compact coefficients of a
+symmetric tensor g acts by a (k+1) x (k+1) matrix whose entries are
+integer sums of products of g's entries, so it is exact in every
+characteristic.  Two elements generate GL2(F_p), so the orbits are the
+connected components of the two code permutations they induce on
+compact codes; `orbit_labels` finds them by min-label propagation with
+pointer jumping (Shiloach and Vishkin, "An O(log n) parallel
+connectivity algorithm", J. Algorithms 1982).
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import AsymmetricTensorError
 from .gfp import FieldSpec
-from .tensor import SymTensor, Tensor, decode, encode, full_place_values, is_symmetric
+from .tensor import (SymTensor, Tensor, compact_encode, compact_from_full, compact_weights, decode,
+                     digits_of_codes, is_symmetric)
 
 
 @dataclass(frozen=True)
@@ -99,61 +104,62 @@ def act_diagonal(g, X):
 
 
 # ---------------------------------------------------------------------------
-# Stacked whole-group application
+# Orbits as components of two generators on compact codes
 # ---------------------------------------------------------------------------
 
-_STACK_CACHE = {}
-
-
-def _invertible_matrix_array(p):
-    """(n, 2, 2) int64 array of all invertible matrices, same order as enumerate_gl2."""
-    rng = np.arange(p, dtype=np.int64)
-    a, b, c, d = (v.ravel() for v in np.meshgrid(rng, rng, rng, rng, indexing="ij"))
-    keep = (a * d - b * c) % p != 0
-    return np.stack([a[keep], b[keep], c[keep], d[keep]], axis=1).reshape(-1, 2, 2)
+def _generators(field):
+    """Two matrices that generate GL2(F_p): a transvection and the swap at
+    p = 2, otherwise diag(w, 1) for the least primitive root w and
+    [[-1, 1], [-1, 0]]."""
+    p = field.p
+    if p == 2:
+        return ((1, 1), (0, 1)), ((0, 1), (1, 0))
+    w = next(w for w in range(2, p) if len({pow(w, e, p) for e in range(p - 1)}) == p - 1)
+    return ((w, 0), (0, 1)), ((p - 1, 1), (p - 1, 0))
 
 
 def action_stack(field, k):
-    """(n, 2^k, 2^k) stack of k-fold Kronecker powers, one per group element.
+    """(2, k+1, k+1) int64 matrices of the two generators on compact
+    coefficients: the image of coefficients c is S @ c mod p.
 
-    Row g applied to a flattened entry vector x gives the flattened
-    entries of the diagonally transformed tensor.  Cached per (p, k);
-    treat as read-only.
+    Output class j (j twos) sums the input classes l weighted by the
+    coefficient of t^l in (g11 + g12 t)^(k-j) (g21 + g22 t)^j.
     """
-    key = (field.p, k)
-    stack = _STACK_CACHE.get(key)
-    if stack is None:
-        mats = _invertible_matrix_array(field.p)
-        n = mats.shape[0]
-        out = mats
-        for _ in range(k - 1):
-            m = out.shape[1]
-            out = np.einsum("nij,nkl->nikjl", out, mats).reshape(n, 2 * m, 2 * m)
-            out %= field.p
-        stack = out
-        stack.setflags(write=False)
-        _STACK_CACHE[key] = stack
-    return stack
+    mats = [[reduce(np.convolve, [row1] * (k - j) + [row2] * j, [1]) for j in range(k + 1)]
+            for row1, row2 in _generators(field)]
+    return np.array(mats, dtype=np.int64) % field.p
 
 
-def _apply_stack(stack, digits, p, place):
-    """Codes of stack[g] . digits for every g; order follows the stack."""
-    return ((stack @ digits) % p) @ place
+def orbit_labels(stack, p):
+    """The least compact code of the orbit of every compact code, as an
+    int64 array indexed by compact code.
 
-
-def _tensor_digits(X):
-    return np.array(X.entries, dtype=np.int64)
+    Each round lowers every label to that of the code's image under each
+    generator, then jumps lab = lab[lab]; labels only fall and stay inside
+    their component, and at the fixpoint each is its component's minimum.
+    """
+    width = stack.shape[1]
+    codes = np.arange(p**width, dtype=np.int64)
+    digits = digits_of_codes(codes, p, width)
+    place = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    images = [(digits @ g.T) % p @ place for g in stack]
+    lab = codes
+    while True:
+        new = lab
+        for image in images:
+            new = np.minimum(new, new[image])
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
 
 
 def orbit_codes(X):
-    """Sorted unique codes of the diagonal orbit of a symmetric tensor."""
-    if not is_symmetric(X):
-        raise AsymmetricTensorError("orbits are computed for symmetric tensors")
-    p = X.field.p
-    stack = action_stack(X.field, X.order)
-    place = full_place_values(p, X.order)
-    codes = _apply_stack(stack, _tensor_digits(X), p, place)
-    return np.unique(codes)
+    """Sorted full codes of the diagonal orbit of a symmetric tensor."""
+    p, k = X.field.p, X.order
+    lab = orbit_labels(action_stack(X.field, k), p)
+    members = np.flatnonzero(lab == lab[compact_encode(compact_from_full(X))])
+    return digits_of_codes(members, p, k + 1) @ compact_weights(p, k)
 
 
 def orbit(X):
@@ -174,11 +180,6 @@ def stabilizer_size(X):
 
 
 def count_stabilizer_directly(X):
-    """Count the group elements fixing X by applying every one of them."""
-    if not is_symmetric(X):
-        raise AsymmetricTensorError("stabilizers are computed for symmetric tensors")
-    p = X.field.p
-    stack = action_stack(X.field, X.order)
-    place = full_place_values(p, X.order)
-    codes = _apply_stack(stack, _tensor_digits(X), p, place)
-    return int((codes == encode(X)).sum())
+    """Count the group elements fixing X by applying every one of them,
+    one at a time with the scalar action."""
+    return sum(act_diagonal(g, X).entries == X.entries for g in enumerate_gl2(X.field))

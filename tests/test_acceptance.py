@@ -19,7 +19,7 @@ from symcanon import (
     symmetric_rank,
     verify_against_paper,
 )
-from symcanon.group_action import _STACK_CACHE, count_stabilizer_directly
+from symcanon.group_action import count_stabilizer_directly
 from symcanon.report import ERRATUM_SUSPECTED, MISMATCH, list_fixtures
 from symcanon.tensor import SymTensor, compact_decode
 
@@ -207,7 +207,6 @@ def test_criterion_8_witness_soundness(strata_for):
 def test_criterion_9_determinism_across_runs():
     f = FieldSpec(7)
     one = emit(classify(f, 4), "structured")
-    _STACK_CACHE.clear()
     two = emit(classify(f, 4), "structured")
     criterion(9, "classify(7,4) byte-identical across two runs", one == two)
 

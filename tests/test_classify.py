@@ -1,6 +1,10 @@
+import hashlib
+import importlib
 from collections import Counter
 
-from symcanon import FieldSpec, canonical_form, classify, decode, group_order
+import pytest
+
+from symcanon import FieldSpec, canonical_form, classify, decode, emit, group_order
 from symcanon.tensor import SymTensor
 
 
@@ -65,3 +69,46 @@ def test_determinism_across_runs():
     assert a.records == b.records
     assert a.undecomposable_records == b.undecomposable_records
     assert a.stratum_counts == b.stratum_counts
+
+
+# SHA-256 of the structured report, recorded before orbits came from
+# generator labels; the last four pairs have no stored table
+PINNED_REPORT_SHA256 = {
+    (2, 3): "6e39455776cce6485635436af8349e32e2f3a59b9452419f51044dde37eab117",
+    (3, 3): "d0eb2f2530e4689ef5f0ddb069e2e266ffbc8f05608c52f341e715757c10a70e",
+    (5, 3): "ed0499d9569d6d79a108cf1e130cca565ca96cac21695a4ff9503c4d3dea7b9d",
+    (7, 3): "e66301dcf497afafe0107ed4125c9ce6f07ae303c8e3bfd837dafd8e3808ce8e",
+    (11, 3): "4eeb3dc106f1acc193f835612f132cd98126fc84fd4dcfeab7e6adbcb6e2ad11",
+    (13, 3): "12f1138da60d760a62626e17d63063a684b626b76aa0549989d3bc9025e374d7",
+    (17, 3): "2bf4e5fa0e537edf970554d3de16a948ec2597a58697ce1f0967ed6b586d60b2",
+    (2, 4): "3eaf43f391003d19a739fe4bea8d1119f7adf73aa05baa025ce9fb5c56111e47",
+    (3, 4): "830cbae048ffc6243ceca3dabeb958725badde7a78f2faa570556ae5a4d250fb",
+    (5, 4): "516154633f01d1208fe7e93533bcfe60707677a8a19b87739f7faa18e705cec2",
+    (7, 4): "f3d034915013f9576cf2da8e1917242aed0a3ffbd8c0946d19fa0c77f26859e8",
+    (19, 3): "f40b65cbcd2cd276491ba08cb1679536b1d26b625192b7c5ca33fc13974d4fac",
+    (23, 3): "6cc3eca439f3aa786e43c5f76dd5b6efbab1435e8d6eec78dc1f1dcb96a20ba1",
+    (11, 4): "943ebb5b8d3e975859957fda139292e70d6b2e03e49ddc9f56891a252630f939",
+    (13, 4): "db0747c151393b106ef3e7e330eabc4de9e5a707a5f127ceab2a3b6343fd97db",
+}
+
+
+@pytest.mark.parametrize("p,k", list(PINNED_REPORT_SHA256))
+def test_structured_report_pinned(p, k, classification_for):
+    text = emit(classification_for(p, k), "structured")
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_SHA256[(p, k)]
+
+
+def test_rank_not_constant_on_an_orbit_raises(monkeypatch):
+    # the package's name `classify` is the function, so fetch the module itself
+    classify_mod = importlib.import_module("symcanon.classify")
+    real = classify_mod.symmetric_rank_strata
+
+    def corrupt(field, k, budget):
+        s = real(field, k, budget)
+        s._rank_of = s._rank_of.copy()
+        s._rank_of[1] = 2  # c:0,0,0,1 = e2^3 has rank 1, as do the 7 others in its orbit
+        return s
+
+    monkeypatch.setattr(classify_mod, "symmetric_rank_strata", corrupt)
+    with pytest.raises(AssertionError, match="not constant on an orbit"):
+        classify_mod.classify(FieldSpec(3), 3)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from symcanon import (
     orbit,
     stabilizer_size,
 )
+from symcanon.group_action import _generators, action_stack
 from symcanon.tensor import compact_decode
 
 F2 = FieldSpec(2)
@@ -225,3 +227,48 @@ def test_stabilizer_direct_count_agrees():
             direct = count_stabilizer_directly(X)
             assert direct * orb.size == n
             assert direct == stabilizer_size(X)
+
+
+# ---------------------------------------------------------------------------
+# the two generators and their compact action
+# ---------------------------------------------------------------------------
+
+def _generated_order(mats, p):
+    """Order of the group generated by 2x2 matrices over F_p: the closure of
+    the identity under right multiplication, on codes a p^3 + b p^2 + c p + d."""
+    place = p ** np.arange(3, -1, -1)
+    seen = np.zeros(p**4, dtype=bool)
+    frontier = np.array([[1, 0, 0, 1]])
+    seen[frontier @ place] = True
+    while frontier.size:
+        m = frontier.reshape(-1, 2, 2)
+        products = np.concatenate([(m @ np.array(g) % p).reshape(-1, 4) for g in mats])
+        codes, first = np.unique(products @ place, return_index=True)
+        fresh = ~seen[codes]
+        seen[codes[fresh]] = True
+        frontier = products[first[fresh]]
+    return int(seen.sum())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_two_generators_generate_gl2(p):
+    f = FieldSpec(p)
+    gens = _generators(f)
+    assert len(gens) == 2
+    assert _generated_order(gens, p) == group_order(f)
+    for g in gens:  # neither generator suffices alone
+        assert _generated_order([g], p) < group_order(f)
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5) for k in (3, 4)])
+def test_action_stack_is_the_compact_diagonal_action(p, k):
+    # independent oracle: the scalar act_diagonal on the full tensor
+    f = FieldSpec(p)
+    stack = action_stack(f, k)
+    assert stack.shape == (2, k + 1, k + 1)
+    for g, S in zip(_generators(f), stack):
+        g = GroupElement(f, g)
+        for code in range(p ** (k + 1)):
+            c = compact_decode(code, f, k)
+            image = compact_from_full(act_diagonal(g, c.full())).coeffs
+            assert image == tuple(int(v) for v in S @ c.coeffs % p), (g.m, c.coeffs)
