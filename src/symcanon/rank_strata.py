@@ -26,10 +26,18 @@ and ranks.  The general rank of X is the least number of simple
 (k-1)-tensors whose span contains X1 and X2, so it depends only on
 span(X1, X2) (Ja'Ja', "Optimal evaluation of pairs of bilinear forms",
 SIAM J. Comput. 1979) and is constant on the classes of GL2 acting on
-mode 1.  Their pulls therefore test one representative per class, the
-reduced row echelon form of [u1; u2], and then write the rank to the
-whole class (the closure).  At p = 3, k = 4 that is 899 540
-representatives instead of 43 M codes.  A budget caps the space (p = 7,
+mode 1; every layer is a union of classes.  Past the generators the
+search therefore works on one representative per class, the reduced row
+echelon form (RREF) of [u1; u2], and writes each rank to whole classes
+(the closure).  A push adds every generator to the representatives of
+rank r - 1, maps the unranked sums to their RREF and closes those
+classes; this is exact, since A X + g = A (X + A^-1 g) and A^-1 g is
+simple.  A pull tests the unranked representatives and closes the
+smaller side: the classes it ranked or, when fewer stayed unranked, those
+(marked) while every other unranked code takes the rank.  At p = 3, k = 4
+the layer-3 push starts from 3 792 representatives instead of 101 376
+codes, the layer-4 pull tests 761 404 of them instead of 36.5 M codes and
+closes 11 016 classes instead of 750 388.  A budget caps the space (p = 7,
 k = 4 with ~3.3e13 codes fails explicitly); codes are int32, so spaces
 beyond 2^31 codes are refused whatever the budget.
 """
@@ -272,10 +280,11 @@ class GeneralRankStratification:
     Holds per-layer sizes and a rank lookup table over full codes; the
     member lists themselves are not materialized (the space reaches
     tens of millions of codes) and no parent links are recorded.  Rank is
-    constant on the classes of GL2 acting on mode 1 (Ja'Ja'), so the dense
-    layers are searched on the reduced row echelon representatives of the
-    slice matrix [X1; X2] and each ranked representative's class is then
-    written whole (see the module docstring).
+    constant on the classes of GL2 acting on mode 1 (Ja'Ja'), so every
+    layer past the generators is searched on the reduced row echelon
+    representatives of the slice matrix [X1; X2]: pushes canonicalize
+    representative + generator, pulls close the smaller side, and ranks
+    are written to whole classes (see the module docstring).
     """
 
     field: FieldSpec
@@ -328,18 +337,20 @@ def general_rank_strata(field, k, budget=DEFAULT_BUDGET):
 
 
 def _mode1_classes(p, m):
-    """(reps, close) of the classes of GL2 acting on mode 1, for full codes
-    u1 * p^m + u2 with slices u1, u2 of m digits.
+    """(reps, close, canon) of the classes of GL2 acting on mode 1, for full
+    codes u1 * p^m + u2 with slices u1, u2 of m digits.
 
     reps are the nonzero codes with [u1; u2] in reduced row echelon form
     (pivot: leading nonzero digit; monic: pivot digit 1): u1 monic and
     u2 = 0, or u1 and u2 monic, the pivot of u2 right of that of u1 and u1
-    zero there.  close(reps, r, rank_of) writes r to their classes.
+    zero there.  close(reps, r, rank_of) writes r to their classes, and
+    canon(codes) maps each code to the representative of its class.
     """
     H = p**m
     digits = digits_of_codes(np.arange(H), p, m)
     pivot = (digits == 0).cumprod(axis=1).sum(axis=1)  # m for u = 0
-    monic = digits[np.arange(H), np.minimum(pivot, m - 1)] == 1
+    lead = digits[np.arange(H), np.minimum(pivot, m - 1)]  # 0 for u = 0
+    monic = lead == 1
     reps = [np.flatnonzero(monic) * H]
     for j in range(1, m):
         u1 = np.flatnonzero(monic & (pivot < j) & (digits[:, j] == 0))
@@ -350,7 +361,9 @@ def _mode1_classes(p, m):
     add = _translations(np.arange(p**w), p, w, 1)  # digit-wise sums of quarter codes
     a, b = np.divmod(np.arange(p * p), p)
     first, second = np.nonzero((a[:, None] * b - b[:, None] * a) % p)  # rows of A in GL2
-    return np.concatenate(reps), partial(_close, scale, add, first, second)
+    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)])
+    return (np.concatenate(reps), partial(_close, scale, add, first, second),
+            partial(_canon, digits, pivot, lead, inv, scale, add))
 
 
 def _close(scale, add, first, second, reps, r, rank_of):
@@ -370,13 +383,40 @@ def _close(scale, add, first, second, reps, r, rank_of):
         rank_of[span[first] * H + span[second]] = r
 
 
+def _canon(digits, pivot, lead, inv, scale, add, codes):
+    """The code of the reduced row echelon form of [u1; u2] for each code
+    u1 * H + u2: rows ordered by pivot, the second cleared at the first's
+    pivot and made monic, the first cleared at the second's pivot and made
+    monic.  Tables as in _mode1_classes and _close; inv[x] is 1/x mod p."""
+    p, H, Q = scale.shape[0], scale.shape[1], add.shape[0]
+
+    def sub(x, c, y):  # x - c y, digit-wise
+        z = scale[-c % p, y]
+        return add[x // Q, z // Q] * Q + add[x % Q, z % Q]
+
+    u1, u2 = np.divmod(codes, H)
+    swap = pivot[u2] < pivot[u1]
+    x, y = np.where(swap, u2, u1), np.where(swap, u1, u2)
+    y = sub(y, lead[y] * inv[lead[x]] * (pivot[x] == pivot[y]), x)
+    y = scale[inv[lead[y]], y]
+    x = sub(x, digits[x, np.minimum(pivot[y], digits.shape[1] - 1)], y)
+    return scale[inv[lead[x]], x] * H + y
+
+
 def _layered_search(space, gens, plus, minus, classes=None):
     """(rank_of, sizes): int8 rank of every code, -1 if never reached, and
     the size of each layer.  `plus` and `minus` are the `_tables` of code
-    + g and code - g over the generator codes `gens`.  `classes`, if given,
-    is (reps, close): rank is constant on classes, so a pull tests only the
-    representatives `reps` and close(ranked, r, rank_of) ranks the whole
-    class of each representative it ranked."""
+    + g and code - g over the generator codes `gens`.
+
+    `classes`, if given, is (reps, close, canon) from _mode1_classes: rank
+    is constant on classes and every layer is a union of them, so layers
+    past the generators work on the representatives `reps` only.  A push
+    adds every generator to the representatives of rank r - 1 and closes
+    the classes of the unranked sums (canon gives their representatives);
+    a pull tests the unranked representatives and closes the smaller side:
+    the ranked ones, or the ones left unranked, which it marks while every
+    other unranked code is ranked r."""
+    reps, close, canon = classes or (None, None, None)
     rank_of = np.full(space, -1, dtype=np.int8)
     rank_of[0] = 0
     rank_of[gens] = 1
@@ -384,13 +424,16 @@ def _layered_search(space, gens, plus, minus, classes=None):
     unranked = space - 1 - gens.size
     while unranked:
         r = len(sizes)
-        if sizes[-1] * gens.size <= _PUSH_FACTOR * unranked:
+        push = sizes[-1] * gens.size <= _PUSH_FACTOR * unranked
+        if reps is None and push:
             _push(np.flatnonzero(rank_of == r - 1), r, *plus, rank_of)
-        elif classes is None:
+        elif reps is None:
             rank_of[_pull(np.flatnonzero(rank_of < 0), r, *minus, rank_of)] = r
+        elif push:
+            _class_push(reps[rank_of[reps] == r - 1], r, *plus, rank_of, canon)
+            close(reps[rank_of[reps] == r], r, rank_of)
         else:
-            reps, close = classes
-            close(_pull(reps[rank_of[reps] < 0], r, *minus, rank_of), r, rank_of)
+            _class_pull(reps[rank_of[reps] < 0], r, *minus, rank_of, close)
         n_new = int(np.count_nonzero(rank_of == r))
         if n_new == 0:
             break
@@ -405,6 +448,32 @@ def _push(frontier, r, TH, TL, low, rank_of):
     for _, codes in _translated(frontier, TH, TL, low):
         hit[codes.ravel()] = True
     rank_of[hit & (rank_of < 0)] = r
+
+
+def _class_push(frontier, r, TH, TL, low, rank_of, canon):
+    """Ranks r the representative (not yet the class) of each unranked
+    frontier code plus a generator, canonicalizing _PULL_CHUNK sums at a
+    time."""
+    for _, codes in _translated(frontier, TH, TL, low):
+        codes = codes[rank_of[codes] < 0]
+        for start in range(0, codes.size, _PULL_CHUNK):
+            rank_of[canon(codes[start : start + _PULL_CHUNK])] = r
+
+
+def _class_pull(candidates, r, TH, TL, low, rank_of, close):
+    """Ranks r the classes of the candidate representatives that _pull
+    ranks.  When fewer stay unranked, it closes those instead, marked
+    -r - 2, and then shifts every negative code by r + 1: the unmarked
+    unranked codes become r and the marked ones -1 again."""
+    ranked = _pull(candidates, r, TH, TL, low, rank_of)
+    if 2 * ranked.size <= candidates.size:
+        close(ranked, r, rank_of)
+        return
+    rank_of[ranked] = r
+    close(candidates[rank_of[candidates] < 0], -r - 2, rank_of)
+    shift = (rank_of < 0).view(np.int8)
+    shift *= r + 1
+    rank_of += shift
 
 
 def _pull(candidates, r, TH, TL, low, rank_of):

@@ -20,10 +20,11 @@ from symcanon import (
     verify_against_paper,
 )
 from symcanon.group_action import count_stabilizer_directly
+from symcanon.rank_strata import DEFAULT_BUDGET
 from symcanon.report import ERRATUM_SUSPECTED, MISMATCH, list_fixtures
 from symcanon.tensor import SymTensor, compact_decode
 
-from conftest import ALL_PAIRS
+from conftest import ALL_PAIRS, general_rank_k3
 
 
 def criterion(num, desc, ok):
@@ -149,22 +150,29 @@ def test_criterion_6_counting_identities(classification_for):
     criterion(6, "counting identities on every computed (p, k)", ok)
 
 
+# symmetric tensors with a decomposition whose general rank is strictly
+# below their symmetric rank; none where p = 2 (mod 3)
+STRICTLY_BELOW_K3 = {2: 0, 3: 16, 5: 0, 7: 1936, 11: 0, 13: 18312, 17: 0}
+
+
 def test_criterion_7_rank_inequality(strata_for, general_for):
+    # full-space general tables where the budget allows them, else the
+    # closed form at k = 3
     ok = True
-    for p, k in [(2, 3), (3, 3), (5, 3), (2, 4), (3, 4)]:
-        f = FieldSpec(p)
+    for p, k in [pair for pair in ALL_PAIRS if pair[1] == 3] + [(2, 4), (3, 4)]:
         s = strata_for(p, k)
-        g = general_for(p, k)
-        if sum(g.sizes) != p ** (1 << k):
-            ok = False
-        for code in range(p ** (k + 1)):
-            X = compact_decode(code, f, k).full()
-            rs = symmetric_rank(X, s)
-            if rs is None:
-                continue
-            rg = g.rank_of(X)
-            if rg is None or rg > rs:
-                ok = False
+        if p ** (1 << k) <= DEFAULT_BUDGET:
+            g = general_for(p, k)
+            ok &= sum(g.sizes) == p ** (1 << k)
+            ranks = [g._rank_of[codes] for codes in s.strata]
+        else:
+            ranks = [general_rank_k3(*divmod(codes, p**4), p) for codes in s.strata]
+        below = 0
+        for r, rg in enumerate(ranks):
+            ok &= bool(((rg >= 0) & (rg <= r)).all())
+            below += int((rg < r).sum())
+        if k == 3:
+            ok &= below == STRICTLY_BELOW_K3[p]
     criterion(7, "rank(X) <= symmetric rank(X) wherever both computed", ok)
 
 

@@ -4,8 +4,22 @@ from collections import Counter
 
 import pytest
 
-from symcanon import FieldSpec, canonical_form, classify, decode, emit, group_order
+from symcanon import (
+    CompactSym,
+    FieldSpec,
+    GroupElement,
+    act_diagonal,
+    canonical_form,
+    classify,
+    compact_from_full,
+    decode,
+    emit,
+    full_from_compact,
+    group_order,
+)
 from symcanon.tensor import SymTensor
+
+from conftest import ALL_PAIRS
 
 
 def test_classify_f3_records(classification_for):
@@ -69,6 +83,52 @@ def test_determinism_across_runs():
     assert a.records == b.records
     assert a.undecomposable_records == b.undecomposable_records
     assert a.stratum_counts == b.stratum_counts
+
+
+def conjugacy_classes(p):
+    """(representative, class size) of each conjugacy class of GL2(F_p):
+    central, non-semisimple, split and non-split (companion matrices of the
+    irreducible x^2 - t x + n)."""
+    units = range(1, p)
+    classes = [(((a, 0), (0, a)), 1) for a in units]
+    classes += [(((a, 1), (0, a)), p * p - 1) for a in units]
+    classes += [(((a, 0), (0, b)), p * (p + 1)) for a in units for b in units if a < b]
+    classes += [(((0, -n % p), (1, t)), p * (p - 1)) for t in range(p) for n in units
+                if all((x * x - t * x + n) % p for x in range(p))]
+    return [(GroupElement(FieldSpec(p), m), size) for m, size in classes]
+
+
+def rank_mod_p(rows, p):
+    rows, rank = [list(row) for row in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * pow(rows[rank][col], p - 2, p)
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p,k", ALL_PAIRS)
+def test_burnside_orbit_count(p, k, classification_for):
+    # orbits = (1/|G|) sum_g p^dim ker(S_g - I), with S_g the action of g on
+    # the k+1 compact coefficients, built column by column with act_diagonal
+    f = FieldSpec(p)
+    basis = [full_from_compact(CompactSym(f, k, tuple(int(i == j) for i in range(k + 1))))
+             for j in range(k + 1)]
+    classes = conjugacy_classes(p)
+    assert sum(size for _, size in classes) == group_order(f)
+    fixed = 0
+    for g, size in classes:
+        columns = [compact_from_full(act_diagonal(g, X)).coeffs for X in basis]
+        moved = [[(c - (i == j)) % p for i, c in enumerate(col)] for j, col in enumerate(columns)]
+        fixed += size * p ** (k + 1 - rank_mod_p(moved, p))
+    rep = classification_for(p, k)
+    assert fixed == group_order(f) * (len(rep.records) + len(rep.undecomposable_records))
+    assert sum(r.orbit_size for r in rep.all_records()) == p ** (k + 1)
 
 
 # SHA-256 of the structured report, recorded before orbits came from

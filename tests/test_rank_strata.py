@@ -35,7 +35,7 @@ from symcanon import rank_strata
 from symcanon.rank_strata import rank_one_generators
 from symcanon.tensor import compact_decode, compact_encode, compact_from_full
 
-from conftest import ALL_PAIRS
+from conftest import ALL_PAIRS, general_rank_k3
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -400,14 +400,9 @@ def is_mode1_rref(code, p, k):
     {"_CHUNK_ROWS": 1000, "_PULL_CHUNK": 100},    # many chunks per layer
 ], ids=["all-pull", "all-push", "small-chunks"])
 def test_general_search_directions_and_chunks(monkeypatch, settings):
-    # one engine serves both rank notions, so each setting checks both pins
     for name, value in settings.items():
         monkeypatch.setattr(rank_strata, name, value)
-    for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
-        s = symmetric_rank_strata(FieldSpec(p), k)
-        assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k, settings)
-    # general pulls must test mode-1 representatives only, closed afterwards
-    calls = {"_pull": [], "_close": []}
+    calls = {name: [] for name in ("_push", "_pull", "_class_push", "_canon", "_close")}
     for name, spied in calls.items():
         real = getattr(rank_strata, name)
 
@@ -416,24 +411,43 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
             return real(*args)
 
         monkeypatch.setattr(rank_strata, name, spy)
-    split_pull = split_close = False
+    all_pull, all_push = settings.get("_PUSH_FACTOR") == 0, settings.get("_PUSH_FACTOR") == 10**18
+    # one engine serves both rank notions, so each setting checks both pins;
+    # the symmetric strata push through the hit mask, never through classes
+    for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
+        s = symmetric_rank_strata(FieldSpec(p), k)
+        assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k, settings)
+    assert not calls["_class_push"] and not calls["_canon"] and not calls["_close"]
+    assert bool(calls["_push"]) != all_pull
+    # general layers past the generators work on mode-1 representatives only:
+    # each pushes from them or pulls them, then closes one side of them
+    split_pull = split_close = split_canon = smaller_side = False
     for p, k in [(2, 3), (3, 3), (5, 3), (2, 4)]:
-        calls["_pull"].clear()
-        calls["_close"].clear()
+        for spied in calls.values():
+            spied.clear()
         g = general_rank_strata(FieldSpec(p), k)
         assert general_sha256(g) == PINNED_GENERAL_SHA256[(p, k)], (p, k, settings)
         pulled = [args[0] for args in calls["_pull"]]
+        pushed = [args[0] for args in calls["_class_push"]]
         closed = [args[4] for args in calls["_close"]]
-        assert all(is_mode1_rref(c, p, k) for codes in pulled for c in codes.tolist())
-        assert len(closed) == len(pulled)
-        if settings.get("_PUSH_FACTOR") == 0:
-            assert len(pulled) == len(g.sizes) - 2  # every layer past the generators
-        if settings.get("_PUSH_FACTOR") == 10**18:
-            assert pulled == []
+        canonicalized = [args[-1] for args in calls["_canon"]]
+        for codes in pulled + pushed + closed:
+            assert all(is_mode1_rref(c, p, k) for c in codes.tolist())
+        assert calls["_push"] == []
+        assert len(closed) == len(pulled) + len(pushed) == len(g.sizes) - 2
+        if all_pull:
+            assert pushed == []
+        if all_push:
+            assert pulled == [] and len(pushed) == len(g.sizes) - 2
+        assert all(codes.size <= rank_strata._PULL_CHUNK for codes in canonicalized)
         split_pull |= any(codes.size > rank_strata._PULL_CHUNK for codes in pulled)
         split_close |= any(reps.size > rank_strata._CHUNK_ROWS // len(gl2(p)) for reps in closed)
+        split_canon |= len(canonicalized) > len(pushed)
+        # the smaller-side closure marks the unranked classes with -r - 2
+        smaller_side |= any(args[5] < 0 for args in calls["_close"])
     if "_CHUNK_ROWS" in settings:
-        assert split_pull and split_close
+        assert split_pull and split_close and split_canon
+    assert smaller_side != all_push
 
 
 def gaussian_binomial_2(p, m):
@@ -450,7 +464,7 @@ def mode1_orbit(code, p, k):
 def test_mode1_representatives_are_a_transversal(p, k, count):
     # one representative per nonzero subspace span(X1, X2) of dimension 1 or 2
     m = 1 << (k - 1)
-    reps, _ = rank_strata._mode1_classes(p, m)
+    reps, _, _ = rank_strata._mode1_classes(p, m)
     assert reps.size == len(set(reps.tolist())) == count
     assert count == (p**m - 1) // (p - 1) + gaussian_binomial_2(p, m)
     if (p, k) == (3, 4):
@@ -469,7 +483,7 @@ def test_mode1_representatives_are_a_transversal(p, k, count):
 def test_mode1_closure_writes_exactly_the_orbit(monkeypatch, p, k, chunk_rows):
     if chunk_rows is not None:
         monkeypatch.setattr(rank_strata, "_CHUNK_ROWS", chunk_rows)
-    reps, close = rank_strata._mode1_classes(p, 1 << (k - 1))
+    reps, close, _ = rank_strata._mode1_classes(p, 1 << (k - 1))
     space = p ** (1 << k)
     for rep in reps:
         rank_of = np.full(space, -1, dtype=np.int8)
@@ -478,6 +492,32 @@ def test_mode1_closure_writes_exactly_the_orbit(monkeypatch, p, k, chunk_rows):
     rank_of = np.full(space, -1, dtype=np.int8)
     close(reps, 2, rank_of)
     assert rank_of[0] == -1 and (rank_of[1:] == 2).all()
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 3), (2, 4)])
+def test_mode1_canon_is_the_rref_of_each_orbit(p, k):
+    # every code of an orbit maps to the one RREF code in that orbit
+    _, _, canon = rank_strata._mode1_classes(p, 1 << (k - 1))
+    space = p ** (1 << k)
+    image = canon(np.arange(space, dtype=np.int32))
+    assert image[0] == 0
+    seen = {0}
+    for code in range(1, space):
+        if code in seen:
+            continue
+        orbit = mode1_orbit(code, p, k)
+        rref = [c for c in orbit if is_mode1_rref(c, p, k)]
+        assert len(rref) == 1, code
+        assert set(image[sorted(orbit)].tolist()) == set(rref), code
+        seen |= orbit
+    assert len(seen) == space
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_general_rank_k3_matches_closed_form(general_for, p):
+    H = p**4
+    oracle = general_rank_k3(np.arange(H)[:, None], np.arange(H), p)
+    assert oracle.tobytes() == general_for(p, 3)._rank_of.tobytes()
 
 
 def swap_modes(X, i, j):
