@@ -5,8 +5,9 @@ verify-paper, stats.  Tensor literals are base-p digits in flatten
 order (length 8 or 16), or compact literals `c:` + k+1 digits.
 
 Exit codes: 0 success; 1 verify-paper found a MISMATCH; 2 invalid
-arguments, parse or symmetry failure, or missing fixture; 3 code-set
-budget exceeded; 4 the queried tensor has no symmetric decomposition.
+arguments, parse or symmetry failure, missing or malformed fixture, or an
+unreadable or unwritable file; 3 code-set budget exceeded; 4 the queried
+tensor has no symmetric decomposition.
 
 Environment: SYMCANON_BUDGET overrides the default code-set ceiling and
 SYMCANON_FIXTURES the fixture directory; explicit flags win.
@@ -136,10 +137,7 @@ def main(argv=None):
     except UndecomposableError as exc:
         print(f"error: no symmetric decomposition ({exc})", file=sys.stderr)
         return EXIT_UNDECOMPOSABLE
-    except MissingFixtureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, AsymmetricTensorError) as exc:
+    except (ValueError, OSError) as exc:  # fixture and symmetry errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

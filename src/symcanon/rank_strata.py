@@ -26,24 +26,26 @@ and ranks.  The general rank of X is the least number of simple
 (k-1)-tensors whose span contains X1 and X2, so it depends only on
 span(X1, X2) (Ja'Ja', "Optimal evaluation of pairs of bilinear forms",
 SIAM J. Comput. 1979) and is constant on the classes of GL2 acting on
-mode 1; every layer is a union of classes.  Past the generators the
-search therefore works on one representative per class, the reduced row
-echelon form (RREF) of [u1; u2], and writes each rank to whole classes
-(the closure).  A push adds every generator to the representatives of
-rank r - 1, maps the unranked sums to their RREF and closes those
-classes; this is exact, since A X + g = A (X + A^-1 g) and A^-1 g is
-simple.  A pull tests the unranked representatives and closes the
-smaller side: the classes it ranked or, when fewer stayed unranked, those
-(marked) while every other unranked code takes the rank.  At p = 3, k = 4
-the layer-3 push starts from 3 792 representatives instead of 101 376
-codes, the layer-4 pull tests 761 404 of them instead of 36.5 M codes and
-closes 11 016 classes instead of 750 388.  A budget caps the space (p = 7,
-k = 4 with ~3.3e13 codes fails explicitly); codes are int32, so spaces
-beyond 2^31 codes are refused whatever the budget.
+mode 1; every layer is a union of classes, since A X + g = A (X + A^-1 g)
+and A^-1 g is simple.  The symmetric strata take the trivial group, every
+code its own class.  Both run one loop on one representative per class
+(for GL2 the reduced row echelon form, RREF, of [u1; u2]) and write each
+rank to whole classes (the closure).  A push ranks the representatives
+of the unranked sums of a generator and a representative of rank r - 1;
+a pull ranks the unranked representatives with some representative - g
+of rank r - 1.  Either way every rank-r class has its representative
+ranked, so the closure takes the smaller side: the classes just ranked
+or, when fewer stayed unranked, those (marked) while every other
+unranked code takes the rank.  At p = 3, k = 4 the layer-3 push starts
+from 3 792 representatives instead of 101 376 codes, the layer-4 pull
+tests 761 404 of them instead of 36.5 M codes and closes 11 016 classes
+instead of 750 388.  A budget caps the space (p = 7, k = 4 with ~3.3e13
+codes fails explicitly); codes are int32, so spaces beyond 2^31 codes
+are refused whatever the budget.
 """
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -162,15 +164,15 @@ def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET):
     gens = rank_one_generators(field, k)
     gen_codes = np.array([c for c, _ in gens], dtype=np.int64)
     plus, minus = _tables(gen_codes, p, k + 1), _tables(gen_codes, p, k + 1, sign=-1)
-    rank_of, sizes = _layered_search(N, gen_codes, plus, minus)
-    compact_strata = [np.flatnonzero(rank_of == r) for r in range(len(sizes))]
-    undecomposable = np.flatnonzero(rank_of < 0)
-    W = compact_weights(p, k)
+    rank_of, sizes = _layered_search(N, gen_codes, plus, minus, _single_codes())
+    # the full code of every compact code, as a Kronecker sum of digit weights
+    full = reduce(lambda acc, w: (acc[:, None] + np.arange(p) * w).ravel(),
+                  compact_weights(p, k), np.zeros(1, dtype=np.int64))
     return RankStratification(
         field=field,
         order=k,
-        strata=[digits_of_codes(s, p, k + 1) @ W for s in compact_strata],
-        undecomposable=digits_of_codes(undecomposable, p, k + 1) @ W,
+        strata=[full[rank_of == r] for r in range(len(sizes))],
+        undecomposable=full[rank_of < 0],
         generator_vectors=[vec for _, vec in gens],
         _rank_of=rank_of,
         _gen_codes=gen_codes,
@@ -282,9 +284,8 @@ class GeneralRankStratification:
     tens of millions of codes) and no parent links are recorded.  Rank is
     constant on the classes of GL2 acting on mode 1 (Ja'Ja'), so every
     layer past the generators is searched on the reduced row echelon
-    representatives of the slice matrix [X1; X2]: pushes canonicalize
-    representative + generator, pulls close the smaller side, and ranks
-    are written to whole classes (see the module docstring).
+    representatives of the slice matrix [X1; X2], and ranks are written
+    to whole classes (see the module docstring).
     """
 
     field: FieldSpec
@@ -336,15 +337,26 @@ def general_rank_strata(field, k, budget=DEFAULT_BUDGET):
     return GeneralRankStratification(field=field, order=k, sizes=sizes, _rank_of=rank_of)
 
 
-def _mode1_classes(p, m):
-    """(reps, close, canon) of the classes of GL2 acting on mode 1, for full
-    codes u1 * p^m + u2 with slices u1, u2 of m digits.
+def _single_codes():
+    """(select, count, canon, close) of the trivial group, as in
+    _mode1_classes: every code is its own class and representative."""
+    def close(codes, r, rank_of):
+        rank_of[codes] = r
 
-    reps are the nonzero codes with [u1; u2] in reduced row echelon form
-    (pivot: leading nonzero digit; monic: pivot digit 1): u1 monic and
-    u2 = 0, or u1 and u2 monic, the pivot of u2 right of that of u1 and u1
-    zero there.  close(reps, r, rank_of) writes r to their classes, and
-    canon(codes) maps each code to the representative of its class.
+    return lambda rank_of, r: np.flatnonzero(rank_of == r), np.size, lambda codes: codes, close
+
+
+def _mode1_classes(p, m):
+    """(select, count, canon, close) of the classes of GL2 acting on mode
+    1, for full codes u1 * p^m + u2 with slices u1, u2 of m digits.
+
+    The representatives are the nonzero codes with [u1; u2] in reduced row
+    echelon form (pivot: leading nonzero digit; monic: pivot digit 1): u1
+    monic and u2 = 0, or u1 and u2 monic, the pivot of u2 right of that of
+    u1 and u1 zero there.  select(rank_of, r) gives the representatives of
+    rank r, count(reps) the number of codes in their classes (p^2 - 1 for
+    u2 = 0, |GL2| otherwise), canon(codes) the representative of each
+    code's class, and close(reps, r, rank_of) writes r to their classes.
     """
     H = p**m
     digits = digits_of_codes(np.arange(H), p, m)
@@ -355,6 +367,7 @@ def _mode1_classes(p, m):
     for j in range(1, m):
         u1 = np.flatnonzero(monic & (pivot < j) & (digits[:, j] == 0))
         reps.append((u1[:, None] * H + np.flatnonzero(monic & (pivot == j))).ravel())
+    reps = np.concatenate(reps)
     place = p ** np.arange(m - 1, -1, -1)
     scale = np.stack([(a * digits % p) @ place for a in range(p)]).astype(np.int32)
     w = (m + 1) // 2
@@ -362,8 +375,10 @@ def _mode1_classes(p, m):
     a, b = np.divmod(np.arange(p * p), p)
     first, second = np.nonzero((a[:, None] * b - b[:, None] * a) % p)  # rows of A in GL2
     inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)])
-    return (np.concatenate(reps), partial(_close, scale, add, first, second),
-            partial(_canon, digits, pivot, lead, inv, scale, add))
+    return (lambda rank_of, r: reps[rank_of[reps] == r],
+            lambda codes: int(np.where(codes % H, first.size, p * p - 1).sum()),
+            partial(_canon, digits, pivot, lead, inv, scale, add),
+            partial(_close, scale, add, first, second))
 
 
 def _close(scale, add, first, second, reps, r, rank_of):
@@ -403,54 +418,48 @@ def _canon(digits, pivot, lead, inv, scale, add, codes):
     return scale[inv[lead[x]], x] * H + y
 
 
-def _layered_search(space, gens, plus, minus, classes=None):
+def _layered_search(space, gens, plus, minus, classes):
     """(rank_of, sizes): int8 rank of every code, -1 if never reached, and
     the size of each layer.  `plus` and `minus` are the `_tables` of code
     + g and code - g over the generator codes `gens`.
 
-    `classes`, if given, is (reps, close, canon) from _mode1_classes: rank
-    is constant on classes and every layer is a union of them, so layers
-    past the generators work on the representatives `reps` only.  A push
-    adds every generator to the representatives of rank r - 1 and closes
-    the classes of the unranked sums (canon gives their representatives);
-    a pull tests the unranked representatives and closes the smaller side:
-    the ranked ones, or the ones left unranked, which it marks while every
-    other unranked code is ranked r."""
-    reps, close, canon = classes or (None, None, None)
+    `classes` is (select, count, canon, close) from _single_codes or
+    _mode1_classes.  Past the generators each layer pushes from the
+    representatives of rank r - 1 or pulls the unranked ones, and then
+    closes the smaller side (see the module docstring): the classes just
+    ranked or, when fewer stayed unranked, those, marked -r - 2, after
+    which every negative code shifts by r + 1, so the unmarked unranked
+    codes become r and the marked ones -1 again."""
+    select, count, canon, close = classes
     rank_of = np.full(space, -1, dtype=np.int8)
     rank_of[0] = 0
     rank_of[gens] = 1
     sizes = [1, int(gens.size)]
+    layer, left = select(rank_of, 1), select(rank_of, -1)
     unranked = space - 1 - gens.size
     while unranked:
         r = len(sizes)
-        push = sizes[-1] * gens.size <= _PUSH_FACTOR * unranked
-        if reps is None and push:
-            _push(np.flatnonzero(rank_of == r - 1), r, *plus, rank_of)
-        elif reps is None:
-            rank_of[_pull(np.flatnonzero(rank_of < 0), r, *minus, rank_of)] = r
-        elif push:
-            _class_push(reps[rank_of[reps] == r - 1], r, *plus, rank_of, canon)
-            close(reps[rank_of[reps] == r], r, rank_of)
+        if sizes[-1] * gens.size <= _PUSH_FACTOR * unranked:
+            _push(layer, r, *plus, rank_of, canon)
         else:
-            _class_pull(reps[rank_of[reps] < 0], r, *minus, rank_of, close)
-        n_new = int(np.count_nonzero(rank_of == r))
-        if n_new == 0:
+            _pull(left, r, *minus, rank_of)
+        layer, left = select(rank_of, r), select(rank_of, -1)
+        if layer.size == 0:
             break
-        sizes.append(n_new)
-        unranked -= n_new
+        if layer.size <= left.size:
+            close(layer, r, rank_of)
+        else:
+            close(left, -r - 2, rank_of)
+            shift = (rank_of < 0).view(np.int8)
+            shift *= r + 1
+            rank_of += shift
+            del shift  # one byte per code: not kept through the next layer
+        sizes.append(count(layer))
+        unranked -= sizes[-1]
     return rank_of, sizes
 
 
-def _push(frontier, r, TH, TL, low, rank_of):
-    """Ranks r every unranked frontier code plus a generator."""
-    hit = np.zeros(rank_of.size, dtype=bool)
-    for _, codes in _translated(frontier, TH, TL, low):
-        hit[codes.ravel()] = True
-    rank_of[hit & (rank_of < 0)] = r
-
-
-def _class_push(frontier, r, TH, TL, low, rank_of, canon):
+def _push(frontier, r, TH, TL, low, rank_of, canon):
     """Ranks r the representative (not yet the class) of each unranked
     frontier code plus a generator, canonicalizing _PULL_CHUNK sums at a
     time."""
@@ -460,28 +469,12 @@ def _class_push(frontier, r, TH, TL, low, rank_of, canon):
             rank_of[canon(codes[start : start + _PULL_CHUNK])] = r
 
 
-def _class_pull(candidates, r, TH, TL, low, rank_of, close):
-    """Ranks r the classes of the candidate representatives that _pull
-    ranks.  When fewer stay unranked, it closes those instead, marked
-    -r - 2, and then shifts every negative code by r + 1: the unmarked
-    unranked codes become r and the marked ones -1 again."""
-    ranked = _pull(candidates, r, TH, TL, low, rank_of)
-    if 2 * ranked.size <= candidates.size:
-        close(ranked, r, rank_of)
-        return
-    rank_of[ranked] = r
-    close(candidates[rank_of[candidates] < 0], -r - 2, rank_of)
-    shift = (rank_of < 0).view(np.int8)
-    shift *= r + 1
-    rank_of += shift
-
-
 def _pull(candidates, r, TH, TL, low, rank_of):
-    """The candidate codes u with some u - g (from the tables) of rank r - 1.
+    """Ranks r the candidate codes u with some u - g (from the tables) of
+    rank r - 1.
 
     Generator blocks grow from 4 to 64: most codes hit within a few.
     """
-    ranked = [candidates[:0]]
     for start in range(0, candidates.size, _PULL_CHUNK):
         u = candidates[start : start + _PULL_CHUNK]
         hi, lo = u // low, u % low
@@ -490,9 +483,8 @@ def _pull(candidates, r, TH, TL, low, rank_of):
             codes = np.take(TH[g : g + block], hi, axis=1) + np.take(TL[g : g + block], lo, axis=1)
             hit = (rank_of[codes] == r - 1).any(axis=0)
             if hit.any():
-                ranked.append(u[hit])
+                rank_of[u[hit]] = r
                 miss = np.flatnonzero(~hit)
                 u, hi, lo = u[miss], hi[miss], lo[miss]
             g += block
             block = min(2 * block, 64)
-    return np.concatenate(ranked)

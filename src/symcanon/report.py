@@ -211,10 +211,10 @@ def load_fixture(p, k, directory=None):
             raise FixtureError(f"{path.name}: row {row.index} has digits outside 0..{p - 1}")
         if row.rank < 0 or row.orbit_size < 1:
             raise FixtureError(f"{path.name}: row {row.index} has a bad rank or size")
-    return FixtureTable(p, k, tuple(rows), _load_errata(path))
+    return FixtureTable(p, k, tuple(rows), _load_errata(path, len(rows)))
 
 
-def _load_errata(table_path):
+def _load_errata(table_path, n_rows):
     path = table_path.with_suffix(".errata")
     if not path.exists():
         return ()
@@ -222,21 +222,28 @@ def _load_errata(table_path):
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FixtureError(f"{path.name}: invalid JSON: {exc}") from None
+    if not isinstance(raw, list) or not all(isinstance(entry, dict) for entry in raw):
+        raise FixtureError(f"{path.name}: expected a JSON list of entry objects")
     notes = []
     for entry in raw:
         try:
-            notes.append(
-                ErratumNote(
-                    id=entry["id"],
-                    classification=entry.get("classification", ERRATUM_SUSPECTED),
-                    rows=tuple(entry.get("rows", ())),
-                    fields=tuple(entry["fields"]),
-                    printed=entry["printed"],
-                    reason=entry["reason"],
-                )
+            note = ErratumNote(
+                id=entry["id"],
+                classification=entry.get("classification", ERRATUM_SUSPECTED),
+                rows=tuple(entry.get("rows", ())),
+                fields=tuple(entry["fields"]),
+                printed=entry["printed"],
+                reason=entry["reason"],
             )
         except KeyError as exc:
             raise FixtureError(f"{path.name}: entry missing key {exc}") from None
+        except TypeError:
+            raise FixtureError(f"{path.name}: entry {entry['id']}: rows and fields must be lists") from None
+        if not set(note.fields) <= {"orbit_size", "canonical", "prose"}:
+            raise FixtureError(f"{path.name}: entry {note.id}: unknown field in {list(note.fields)}")
+        if not all(type(i) is int and 0 <= i < n_rows for i in note.rows):
+            raise FixtureError(f"{path.name}: entry {note.id}: rows must lie in 0..{n_rows - 1}")
+        notes.append(note)
     return tuple(notes)
 
 

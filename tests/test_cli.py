@@ -36,6 +36,16 @@ def test_classify_out_file(tmp_path, capsys):
     assert doc["stratum_counts"] == [1, 3, 3, 1]
 
 
+def test_classify_unwritable_out_is_usage_error(tmp_path, capsys):
+    # exit 1 is reserved for a verify-paper MISMATCH
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "classify", "--p", "2", "--order", "3",
+                         "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out_path.parent.exists()
+
+
 def test_rank_query(capsys):
     code, out, _ = run(capsys, "rank", "--p", "2", "--tensor", "0,0,0,0,0,0,0,1")
     assert code == 0 and out.strip() == "1"

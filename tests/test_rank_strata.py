@@ -394,6 +394,20 @@ def is_mode1_rref(code, p, k):
     return j2 is None or (rows[1][j2] == 1 and j2 > j1 and rows[0][j2] == 0)
 
 
+def test_general_sizes_are_the_layer_counts(general_for):
+    # layer sizes are summed from class sizes; they must count the table
+    for p, k in PINNED_GENERAL_SHA256:
+        g = general_for(p, k)
+        assert g.sizes == [int(np.count_nonzero(g._rank_of == r)) for r in range(len(g.sizes))], (p, k)
+        assert sum(g.sizes) == p ** (1 << k), (p, k)
+
+
+def mode1_reps(p, k):
+    """All representatives of the mode-1 classes, as _mode1_classes selects them."""
+    select = rank_strata._mode1_classes(p, 1 << (k - 1))[0]
+    return select(np.full(p ** (1 << k), -1, dtype=np.int8), -1)
+
+
 @pytest.mark.parametrize("settings", [
     {"_PUSH_FACTOR": 0},                          # every layer pulls
     {"_PUSH_FACTOR": 10**18},                     # every layer pushes
@@ -402,25 +416,26 @@ def is_mode1_rref(code, p, k):
 def test_general_search_directions_and_chunks(monkeypatch, settings):
     for name, value in settings.items():
         monkeypatch.setattr(rank_strata, name, value)
-    calls = {name: [] for name in ("_push", "_pull", "_class_push", "_canon", "_close")}
+    calls = {name: [] for name in ("_push", "_pull", "_canon", "_close")}
     for name, spied in calls.items():
         real = getattr(rank_strata, name)
 
-        def spy(*args, real=real, spied=spied):
-            spied.append(args)
+        def spy(*args, real=real, spied=spied, name=name):
+            # a closure also keeps the rank table as it was before the call
+            spied.append(args + (args[-1].copy(),) if name == "_close" else args)
             return real(*args)
 
         monkeypatch.setattr(rank_strata, name, spy)
     all_pull, all_push = settings.get("_PUSH_FACTOR") == 0, settings.get("_PUSH_FACTOR") == 10**18
-    # one engine serves both rank notions, so each setting checks both pins;
-    # the symmetric strata push through the hit mask, never through classes
+    # one loop serves both rank notions, so each setting checks both pins;
+    # the symmetric strata run it on single codes, never on mode-1 classes
     for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
         s = symmetric_rank_strata(FieldSpec(p), k)
         assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k, settings)
-    assert not calls["_class_push"] and not calls["_canon"] and not calls["_close"]
-    assert bool(calls["_push"]) != all_pull
+    assert not calls["_canon"] and not calls["_close"]
+    assert bool(calls["_push"]) != all_pull and bool(calls["_pull"]) != all_push
     # general layers past the generators work on mode-1 representatives only:
-    # each pushes from them or pulls them, then closes one side of them
+    # each pushes from them or pulls them, then closes the smaller side of them
     split_pull = split_close = split_canon = smaller_side = False
     for p, k in [(2, 3), (3, 3), (5, 3), (2, 4)]:
         for spied in calls.values():
@@ -428,26 +443,37 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
         g = general_rank_strata(FieldSpec(p), k)
         assert general_sha256(g) == PINNED_GENERAL_SHA256[(p, k)], (p, k, settings)
         pulled = [args[0] for args in calls["_pull"]]
-        pushed = [args[0] for args in calls["_class_push"]]
+        pushed = [args[0] for args in calls["_push"]]
         closed = [args[4] for args in calls["_close"]]
         canonicalized = [args[-1] for args in calls["_canon"]]
         for codes in pulled + pushed + closed:
             assert all(is_mode1_rref(c, p, k) for c in codes.tolist())
-        assert calls["_push"] == []
+        # exactly one closure per layer past the generators
         assert len(closed) == len(pulled) + len(pushed) == len(g.sizes) - 2
         if all_pull:
             assert pushed == []
         if all_push:
-            assert pulled == [] and len(pushed) == len(g.sizes) - 2
+            assert pulled == []
+        # each closure takes the smaller side: the ranked representatives
+        # (r >= 0) when no more than those left unranked, else the unranked
+        # ones, marked -r - 2, when fewer than those ranked r
+        reps = mode1_reps(p, k)
+        for _, _, _, _, codes, r, _, before in calls["_close"]:
+            side = before[reps]
+            if r >= 0:
+                assert codes.size <= np.count_nonzero(side == -1), (p, k, r)
+            else:
+                assert codes.size < np.count_nonzero(side == -r - 2), (p, k, r)
+                smaller_side = True
         assert all(codes.size <= rank_strata._PULL_CHUNK for codes in canonicalized)
         split_pull |= any(codes.size > rank_strata._PULL_CHUNK for codes in pulled)
-        split_close |= any(reps.size > rank_strata._CHUNK_ROWS // len(gl2(p)) for reps in closed)
+        split_close |= any(codes.size > rank_strata._CHUNK_ROWS // len(gl2(p)) for codes in closed)
         split_canon |= len(canonicalized) > len(pushed)
-        # the smaller-side closure marks the unranked classes with -r - 2
-        smaller_side |= any(args[5] < 0 for args in calls["_close"])
     if "_CHUNK_ROWS" in settings:
         assert split_pull and split_close and split_canon
-    assert smaller_side != all_push
+    # the last layer leaves no representative unranked, so every setting
+    # closes the unranked side at least once, after a push as after a pull
+    assert smaller_side
 
 
 def gaussian_binomial_2(p, m):
@@ -464,9 +490,11 @@ def mode1_orbit(code, p, k):
 def test_mode1_representatives_are_a_transversal(p, k, count):
     # one representative per nonzero subspace span(X1, X2) of dimension 1 or 2
     m = 1 << (k - 1)
-    reps, _, _ = rank_strata._mode1_classes(p, m)
+    reps = mode1_reps(p, k)
     assert reps.size == len(set(reps.tolist())) == count
     assert count == (p**m - 1) // (p - 1) + gaussian_binomial_2(p, m)
+    # the class sizes sum to the nonzero codes
+    assert rank_strata._mode1_classes(p, m)[1](reps) == p ** (2 * m) - 1
     if (p, k) == (3, 4):
         return  # 43 M codes: the count only
     # disjoint orbits covering every nonzero code: one representative per class
@@ -483,7 +511,8 @@ def test_mode1_representatives_are_a_transversal(p, k, count):
 def test_mode1_closure_writes_exactly_the_orbit(monkeypatch, p, k, chunk_rows):
     if chunk_rows is not None:
         monkeypatch.setattr(rank_strata, "_CHUNK_ROWS", chunk_rows)
-    reps, close, _ = rank_strata._mode1_classes(p, 1 << (k - 1))
+    close = rank_strata._mode1_classes(p, 1 << (k - 1))[3]
+    reps = mode1_reps(p, k)
     space = p ** (1 << k)
     for rep in reps:
         rank_of = np.full(space, -1, dtype=np.int8)
@@ -497,7 +526,7 @@ def test_mode1_closure_writes_exactly_the_orbit(monkeypatch, p, k, chunk_rows):
 @pytest.mark.parametrize("p, k", [(2, 3), (3, 3), (2, 4)])
 def test_mode1_canon_is_the_rref_of_each_orbit(p, k):
     # every code of an orbit maps to the one RREF code in that orbit
-    _, _, canon = rank_strata._mode1_classes(p, 1 << (k - 1))
+    canon = rank_strata._mode1_classes(p, 1 << (k - 1))[2]
     space = p ** (1 << k)
     image = canon(np.arange(space, dtype=np.int32))
     assert image[0] == 0

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -11,7 +12,8 @@ from symcanon import (
     parse_structured,
     verify_against_paper,
 )
-from symcanon.report import ERRATUM_SUSPECTED, MISMATCH, list_fixtures
+from symcanon.cli import main
+from symcanon.report import ERRATUM_SUSPECTED, MISMATCH, fixtures_dir, list_fixtures
 
 
 def test_fixture_inventory():
@@ -42,6 +44,29 @@ def test_malformed_fixture(tmp_path):
     bad.write_text("p=3\nk=3\n0,1,0 0 0 0 0 0 0 0\n")  # header disagrees
     with pytest.raises(FixtureError):
         load_fixture(2, 3, tmp_path)
+
+
+def sidecar_entry(**fields):
+    return {"id": "X", "rows": [1], "fields": ["orbit_size"], "printed": "8", "reason": "test", **fields}
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ({"id": "X"}, "JSON list"),
+    ([sidecar_entry(rows=[6])], "rows must lie in 0..5"),
+    ([sidecar_entry(rows=[-1])], "rows must lie in 0..5"),
+    ([sidecar_entry(fields=["size"])], "unknown field"),
+    ([sidecar_entry(rows=1)], "must be lists"),
+], ids=["not-a-list", "row-past-the-end", "negative-row", "unknown-field", "rows-not-a-list"])
+def test_malformed_errata_sidecar(tmp_path, capsys, monkeypatch, sidecar, message):
+    # a sidecar is outside input: each defect is a FixtureError, and exit 2
+    shutil.copy(fixtures_dir() / "k3_p3.table", tmp_path)
+    (tmp_path / "k3_p3.errata").write_text(json.dumps(sidecar))
+    with pytest.raises(FixtureError, match=message):
+        load_fixture(3, 3, tmp_path)
+    monkeypatch.setenv("SYMCANON_FIXTURES", str(tmp_path))
+    assert main(["verify-paper", "--p", "3", "--order", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: k3_p3.errata") and message in err
 
 
 def test_diff_f5_empty(classification_for):
