@@ -182,20 +182,21 @@ def _dispatch(args):
 def _run_query(args):
     field = FieldSpec(args.p)
     X = _query_tensor(args, field)
+    budget = _budget(args)
 
     if args.command == "canon":
         from .group_action import canonical_form
 
-        print(format_literal(canonical_form(X)))
+        print(format_literal(canonical_form(X, budget)))
         return EXIT_OK
     if args.command == "orbit":
-        print(orbit(X).size)
+        print(orbit(X, budget).size)
         return EXIT_OK
     if args.command == "stabilizer":
-        print(stabilizer_size(X))
+        print(stabilizer_size(X, budget))
         return EXIT_OK
 
-    strata = symmetric_rank_strata(field, X.order, _budget(args))
+    strata = symmetric_rank_strata(field, X.order, budget)
     if args.command == "rank":
         r = symmetric_rank(X, strata)
         if r is None:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import AsymmetricTensorError
 from .gfp import FieldSpec
+from .rank_strata import DEFAULT_BUDGET, _refuse_oversized
 from .tensor import (SymTensor, Tensor, compact_encode, compact_from_full, compact_weights, decode,
                      digits_of_codes, is_symmetric)
 
@@ -154,29 +155,33 @@ def orbit_labels(stack, p):
         lab = new
 
 
-def orbit_codes(X):
-    """Sorted full codes of the diagonal orbit of a symmetric tensor."""
+def orbit_codes(X, budget=DEFAULT_BUDGET):
+    """Sorted full codes of the diagonal orbit of a symmetric tensor.
+
+    The orbit labels cover all p^(k+1) compact codes (about 8 (k + 5)
+    bytes each), so a space over the budget is refused first."""
     p, k = X.field.p, X.order
+    _refuse_oversized("symmetric code space", p ** (k + 1), budget)
     lab = orbit_labels(action_stack(X.field, k), p)
     members = np.flatnonzero(lab == lab[compact_encode(compact_from_full(X))])
     return digits_of_codes(members, p, k + 1) @ compact_weights(p, k)
 
 
-def orbit(X):
-    codes = orbit_codes(X)
+def orbit(X, budget=DEFAULT_BUDGET):
+    codes = orbit_codes(X, budget)
     return Orbit(tuple(int(c) for c in codes), int(codes[0]), int(codes.size))
 
 
-def canonical_form(X):
+def canonical_form(X, budget=DEFAULT_BUDGET):
     """Lexicographically minimal member of the orbit of X."""
-    codes = orbit_codes(X)
+    codes = orbit_codes(X, budget)
     t = decode(int(codes[0]), X.field, X.order)
     return SymTensor(X.field, t.entries)
 
 
-def stabilizer_size(X):
+def stabilizer_size(X, budget=DEFAULT_BUDGET):
     """|stabilizer| via orbit-stabilizer: group order / orbit size."""
-    return group_order(X.field) // orbit_codes(X).size
+    return group_order(X.field) // orbit_codes(X, budget).size
 
 
 def count_stabilizer_directly(X):

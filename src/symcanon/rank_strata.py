@@ -30,18 +30,20 @@ mode 1; every layer is a union of classes, since A X + g = A (X + A^-1 g)
 and A^-1 g is simple.  The symmetric strata take the trivial group, every
 code its own class.  Both run one loop on one representative per class
 (for GL2 the reduced row echelon form, RREF, of [u1; u2]) and write each
-rank to whole classes (the closure).  A push ranks the representatives
-of the unranked sums of a generator and a representative of rank r - 1;
-a pull ranks the unranked representatives with some representative - g
-of rank r - 1.  Either way every rank-r class has its representative
-ranked, so the closure takes the smaller side: the classes just ranked
-or, when fewer stayed unranked, those (marked) while every other
-unranked code takes the rank.  At p = 3, k = 4 the layer-3 push starts
-from 3 792 representatives instead of 101 376 codes, the layer-4 pull
-tests 761 404 of them instead of 36.5 M codes and closes 11 016 classes
-instead of 750 388.  A budget caps the space (p = 7, k = 4 with ~3.3e13
-codes fails explicitly); codes are int32, so spaces beyond 2^31 codes
-are refused whatever the budget.
+rank to whole classes (the closure), which any code of a class yields.
+A push closes the class of each unranked sum of a generator and a
+representative of rank r - 1, so nothing is left to close after it.  A
+pull ranks the unranked representatives with some representative - g of
+rank r - 1; every rank-r class then has its representative ranked, so
+the closure takes the smaller side: the classes just ranked or, when
+fewer stayed unranked, those (marked) while every other unranked code
+takes the rank.  At p = 3, k = 4 the layer-3 push starts from 3 792
+representatives instead of 101 376 codes and closes the classes of
+169 370 of its 1.9 M sums, the rest being ranked by the classes closed
+before them; the layer-4 pull tests 761 404 representatives instead of
+36.5 M codes and closes 11 016 classes instead of 750 388.  A budget
+caps the space (p = 7, k = 4 with ~3.3e13 codes fails explicitly); codes
+are int32, so spaces beyond 2^31 codes are refused whatever the budget.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -210,10 +212,11 @@ def _translations(gen_parts, p, width, sign, scale=1):
     return T
 
 
-def _translated(frontier, TH, TL, low):
-    """Yields (g, frontier + generators g, g+1, ...) in (block, |F|) chunks."""
+def _translated(frontier, TH, TL, low, rows):
+    """Yields (g, frontier + generators g, g+1, ...) in (block, |F|) chunks
+    of about `rows` sums (one generator when |F| exceeds rows)."""
     hi, lo = frontier // low, frontier % low
-    block = max(1, _CHUNK_ROWS // frontier.size)
+    block = max(1, rows // frontier.size)
     for g in range(0, TH.shape[0], block):
         # take along axis 1 keeps the block contiguous, unlike TH[g:g+block, hi]
         yield g, np.take(TH[g : g + block], hi, axis=1) + np.take(TL[g : g + block], lo, axis=1)
@@ -229,7 +232,7 @@ def _parents(s, codes, minus):
     r = s._rank_of[codes]
     sentinel = np.iinfo(np.int64).max
     best = np.full(codes.size, sentinel, dtype=np.int64)
-    for g, preds in _translated(codes, *minus):
+    for g, preds in _translated(codes, *minus, _CHUNK_ROWS):
         keys = preds * np.int64(G) + np.arange(g, g + preds.shape[0])[:, None]
         keys[s._rank_of[preds] != r - 1] = sentinel
         best = np.minimum(best, keys.min(axis=0))
@@ -338,31 +341,30 @@ def general_rank_strata(field, k, budget=DEFAULT_BUDGET):
 
 
 def _single_codes():
-    """(select, count, canon, close) of the trivial group, as in
+    """(select, count, largest, close) of the trivial group, as in
     _mode1_classes: every code is its own class and representative."""
     def close(codes, r, rank_of):
         rank_of[codes] = r
 
-    return lambda rank_of, r: np.flatnonzero(rank_of == r), np.size, lambda codes: codes, close
+    return lambda rank_of, r: np.flatnonzero(rank_of == r), np.size, 1, close
 
 
 def _mode1_classes(p, m):
-    """(select, count, canon, close) of the classes of GL2 acting on mode
-    1, for full codes u1 * p^m + u2 with slices u1, u2 of m digits.
+    """(select, count, largest, close) of the classes of GL2 acting on
+    mode 1, for full codes u1 * p^m + u2 with slices u1, u2 of m digits.
 
     The representatives are the nonzero codes with [u1; u2] in reduced row
     echelon form (pivot: leading nonzero digit; monic: pivot digit 1): u1
     monic and u2 = 0, or u1 and u2 monic, the pivot of u2 right of that of
     u1 and u1 zero there.  select(rank_of, r) gives the representatives of
     rank r, count(reps) the number of codes in their classes (p^2 - 1 for
-    u2 = 0, |GL2| otherwise), canon(codes) the representative of each
-    code's class, and close(reps, r, rank_of) writes r to their classes.
+    u2 = 0, |GL2| otherwise), largest is |GL2|, and close(codes, r,
+    rank_of) writes r to the classes of any codes.
     """
     H = p**m
     digits = digits_of_codes(np.arange(H), p, m)
     pivot = (digits == 0).cumprod(axis=1).sum(axis=1)  # m for u = 0
-    lead = digits[np.arange(H), np.minimum(pivot, m - 1)]  # 0 for u = 0
-    monic = lead == 1
+    monic = digits[np.arange(H), np.minimum(pivot, m - 1)] == 1  # leading digit 1
     reps = [np.flatnonzero(monic) * H]
     for j in range(1, m):
         u1 = np.flatnonzero(monic & (pivot < j) & (digits[:, j] == 0))
@@ -374,16 +376,15 @@ def _mode1_classes(p, m):
     add = _translations(np.arange(p**w), p, w, 1)  # digit-wise sums of quarter codes
     a, b = np.divmod(np.arange(p * p), p)
     first, second = np.nonzero((a[:, None] * b - b[:, None] * a) % p)  # rows of A in GL2
-    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)])
     return (lambda rank_of, r: reps[rank_of[reps] == r],
             lambda codes: int(np.where(codes % H, first.size, p * p - 1).sum()),
-            partial(_canon, digits, pivot, lead, inv, scale, add),
+            first.size,
             partial(_close, scale, add, first, second))
 
 
-def _close(scale, add, first, second, reps, r, rank_of):
+def _close(scale, add, first, second, codes, r, rank_of):
     """Ranks r the class A (u1, u2) = (a u1 + b u2, c u1 + d u2), A in GL2,
-    of each representative code u1 * H + u2.
+    of each code u1 * H + u2, a representative or not.
 
     Digit-wise, scale[a, u] is a u and add[x, y] is x + y on quarter codes.
     Over the invertible A, (a, b) = divmod(first, p) and (c, d) =
@@ -391,31 +392,11 @@ def _close(scale, add, first, second, reps, r, rank_of):
     """
     H, Q = scale.shape[1], add.shape[0]
     chunk = max(1, _CHUNK_ROWS // first.size)
-    for start in range(0, reps.size, chunk):
-        u = reps[start : start + chunk]
+    for start in range(0, codes.size, chunk):
+        u = codes[start : start + chunk]
         x, y = scale[:, None, u // H], scale[None, :, u % H]
         span = (add[x // Q, y // Q] * Q + add[x % Q, y % Q]).reshape(-1, u.size)
         rank_of[span[first] * H + span[second]] = r
-
-
-def _canon(digits, pivot, lead, inv, scale, add, codes):
-    """The code of the reduced row echelon form of [u1; u2] for each code
-    u1 * H + u2: rows ordered by pivot, the second cleared at the first's
-    pivot and made monic, the first cleared at the second's pivot and made
-    monic.  Tables as in _mode1_classes and _close; inv[x] is 1/x mod p."""
-    p, H, Q = scale.shape[0], scale.shape[1], add.shape[0]
-
-    def sub(x, c, y):  # x - c y, digit-wise
-        z = scale[-c % p, y]
-        return add[x // Q, z // Q] * Q + add[x % Q, z % Q]
-
-    u1, u2 = np.divmod(codes, H)
-    swap = pivot[u2] < pivot[u1]
-    x, y = np.where(swap, u2, u1), np.where(swap, u1, u2)
-    y = sub(y, lead[y] * inv[lead[x]] * (pivot[x] == pivot[y]), x)
-    y = scale[inv[lead[y]], y]
-    x = sub(x, digits[x, np.minimum(pivot[y], digits.shape[1] - 1)], y)
-    return scale[inv[lead[x]], x] * H + y
 
 
 def _layered_search(space, gens, plus, minus, classes):
@@ -423,50 +404,52 @@ def _layered_search(space, gens, plus, minus, classes):
     the size of each layer.  `plus` and `minus` are the `_tables` of code
     + g and code - g over the generator codes `gens`.
 
-    `classes` is (select, count, canon, close) from _single_codes or
-    _mode1_classes.  Past the generators each layer pushes from the
-    representatives of rank r - 1 or pulls the unranked ones, and then
-    closes the smaller side (see the module docstring): the classes just
-    ranked or, when fewer stayed unranked, those, marked -r - 2, after
-    which every negative code shifts by r + 1, so the unmarked unranked
-    codes become r and the marked ones -1 again."""
-    select, count, canon, close = classes
+    `classes` is (select, count, largest, close) from _single_codes or
+    _mode1_classes.  Past the generators each layer either pushes from the
+    representatives of rank r - 1, closing classes as it goes, or pulls
+    the unranked representatives and then closes the smaller side (see
+    the module docstring): the classes just ranked or, when fewer stayed
+    unranked, those, marked -r - 2, after which every negative code shifts
+    by r + 1, so the unmarked unranked codes become r and the marked ones
+    -1 again."""
+    select, count, largest, close = classes
     rank_of = np.full(space, -1, dtype=np.int8)
     rank_of[0] = 0
     rank_of[gens] = 1
     sizes = [1, int(gens.size)]
-    layer, left = select(rank_of, 1), select(rank_of, -1)
+    layer = select(rank_of, 1)
     unranked = space - 1 - gens.size
     while unranked:
         r = len(sizes)
         if sizes[-1] * gens.size <= _PUSH_FACTOR * unranked:
-            _push(layer, r, *plus, rank_of, canon)
+            _push(layer, r, *plus, rank_of, close, largest)
+            layer = select(rank_of, r)
         else:
-            _pull(left, r, *minus, rank_of)
-        layer, left = select(rank_of, r), select(rank_of, -1)
+            _pull(select(rank_of, -1), r, *minus, rank_of)
+            layer, left = select(rank_of, r), select(rank_of, -1)
+            if layer.size <= left.size:
+                close(layer, r, rank_of)
+            else:
+                close(left, -r - 2, rank_of)
+                shift = (rank_of < 0).view(np.int8)
+                shift *= r + 1
+                rank_of += shift
+                del shift  # one byte per code: not kept through the next layer
         if layer.size == 0:
             break
-        if layer.size <= left.size:
-            close(layer, r, rank_of)
-        else:
-            close(left, -r - 2, rank_of)
-            shift = (rank_of < 0).view(np.int8)
-            shift *= r + 1
-            rank_of += shift
-            del shift  # one byte per code: not kept through the next layer
         sizes.append(count(layer))
         unranked -= sizes[-1]
     return rank_of, sizes
 
 
-def _push(frontier, r, TH, TL, low, rank_of, canon):
-    """Ranks r the representative (not yet the class) of each unranked
-    frontier code plus a generator, canonicalizing _PULL_CHUNK sums at a
-    time."""
-    for _, codes in _translated(frontier, TH, TL, low):
-        codes = codes[rank_of[codes] < 0]
-        for start in range(0, codes.size, _PULL_CHUNK):
-            rank_of[canon(codes[start : start + _PULL_CHUNK])] = r
+def _push(frontier, r, TH, TL, low, rank_of, close, largest):
+    """Ranks r the class of each unranked frontier code plus a generator.
+
+    Sums come in steps of about _PULL_CHUNK // largest (the largest class
+    size), each re-filtered, so that a class closed by one step is skipped
+    by the next; a class hit twice within one step is closed twice."""
+    for _, codes in _translated(frontier, TH, TL, low, _PULL_CHUNK // largest):
+        close(codes[rank_of[codes] < 0], r, rank_of)
 
 
 def _pull(candidates, r, TH, TL, low, rank_of):

@@ -239,6 +239,8 @@ def _load_errata(table_path, n_rows):
             raise FixtureError(f"{path.name}: entry missing key {exc}") from None
         except TypeError:
             raise FixtureError(f"{path.name}: entry {entry['id']}: rows and fields must be lists") from None
+        if note.classification != ERRATUM_SUSPECTED:
+            raise FixtureError(f"{path.name}: entry {note.id}: classification must be {ERRATUM_SUSPECTED}")
         if not set(note.fields) <= {"orbit_size", "canonical", "prose"}:
             raise FixtureError(f"{path.name}: entry {note.id}: unknown field in {list(note.fields)}")
         if not all(type(i) is int and 0 <= i < n_rows for i in note.rows):

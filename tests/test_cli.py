@@ -164,6 +164,20 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_orbit_queries_honour_the_budget(capsys, monkeypatch):
+    # the orbit labels cover all p^(k+1) codes, so canon, orbit and
+    # stabilizer refuse an oversized space as rank does, by flag or by
+    # environment
+    query = ["--p", "17", "--order", "3", "--tensor", "c:1,0,0,1"]
+    for command in ("canon", "orbit", "stabilizer"):
+        code, out, err = run(capsys, command, *query, "--budget", "10")
+        assert code == 3 and out == "" and "budget of 10 codes" in err, command
+    monkeypatch.setenv("SYMCANON_BUDGET", "10")
+    for command in ("canon", "orbit", "stabilizer"):
+        code, out, err = run(capsys, command, *query)
+        assert code == 3 and out == "" and "budget of 10 codes" in err, command
+
+
 def test_budget_env_unparsable(capsys, monkeypatch):
     for bad in ("abc", "1e6"):
         monkeypatch.setenv("SYMCANON_BUDGET", bad)

@@ -247,8 +247,9 @@ def test_parent_of_is_least_derivation(p, k):
 
 
 def test_chunk_boundaries_do_not_change_parent_links(monkeypatch):
-    # at 1000 candidates per chunk every large push layer spans many chunks,
-    # while pull layers keep their default chunk size
+    # at 1000 sums per push step and 1000 candidates per pull chunk every
+    # large layer spans many steps, and so does each parent lookup
+    monkeypatch.setattr(rank_strata, "_PULL_CHUNK", 1000)
     monkeypatch.setattr(rank_strata, "_CHUNK_ROWS", 1000)
     for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
         s = symmetric_rank_strata(FieldSpec(p), k)
@@ -416,13 +417,18 @@ def mode1_reps(p, k):
 def test_general_search_directions_and_chunks(monkeypatch, settings):
     for name, value in settings.items():
         monkeypatch.setattr(rank_strata, name, value)
-    calls = {name: [] for name in ("_push", "_pull", "_canon", "_close")}
-    for name, spied in calls.items():
+    # one log in call order; a closure also keeps, as they were before the
+    # call, the ranks of the codes it closes and of every representative
+    calls, reps = [], None
+    for name in ("_push", "_pull", "_close"):
         real = getattr(rank_strata, name)
 
-        def spy(*args, real=real, spied=spied, name=name):
-            # a closure also keeps the rank table as it was before the call
-            spied.append(args + (args[-1].copy(),) if name == "_close" else args)
+        def spy(*args, real=real, name=name):
+            kept = ()
+            if name == "_close":
+                codes, rank_of = args[4], args[-1]
+                kept = (rank_of[codes].copy(), rank_of[reps].copy())
+            calls.append((name, args + kept))
             return real(*args)
 
         monkeypatch.setattr(rank_strata, name, spy)
@@ -432,48 +438,58 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
     for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
         s = symmetric_rank_strata(FieldSpec(p), k)
         assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k, settings)
-    assert not calls["_canon"] and not calls["_close"]
-    assert bool(calls["_push"]) != all_pull and bool(calls["_pull"]) != all_push
-    # general layers past the generators work on mode-1 representatives only:
-    # each pushes from them or pulls them, then closes the smaller side of them
-    split_pull = split_close = split_canon = smaller_side = False
+    names = [name for name, _ in calls]
+    assert "_close" not in names
+    assert ("_push" in names) != all_pull and ("_pull" in names) != all_push
+    split_pull = split_close = split_push = smaller_side = False
     for p, k in [(2, 3), (3, 3), (5, 3), (2, 4)]:
-        for spied in calls.values():
-            spied.clear()
+        calls.clear()
+        reps = mode1_reps(p, k)
         g = general_rank_strata(FieldSpec(p), k)
         assert general_sha256(g) == PINNED_GENERAL_SHA256[(p, k)], (p, k, settings)
-        pulled = [args[0] for args in calls["_pull"]]
-        pushed = [args[0] for args in calls["_push"]]
-        closed = [args[4] for args in calls["_close"]]
-        canonicalized = [args[-1] for args in calls["_canon"]]
-        for codes in pulled + pushed + closed:
-            assert all(is_mode1_rref(c, p, k) for c in codes.tolist())
-        # exactly one closure per layer past the generators
-        assert len(closed) == len(pulled) + len(pushed) == len(g.sizes) - 2
+        names = [name for name, _ in calls]
+        # one push or pull per layer past the generators, and a closure
+        # right after each pull
+        assert names.count("_push") + names.count("_pull") == len(g.sizes) - 2
+        assert all(names[i + 1 : i + 2] == ["_close"] for i, name in enumerate(names) if name == "_pull")
         if all_pull:
-            assert pushed == []
+            assert "_push" not in names
         if all_push:
-            assert pulled == []
-        # each closure takes the smaller side: the ranked representatives
-        # (r >= 0) when no more than those left unranked, else the unranked
-        # ones, marked -r - 2, when fewer than those ranked r
-        reps = mode1_reps(p, k)
-        for _, _, _, _, codes, r, _, before in calls["_close"]:
-            side = before[reps]
+            assert "_pull" not in names
+        step = max(1, rank_strata._PULL_CHUNK // len(gl2(p)))
+        direction = frontier = None
+        for i, (name, args) in enumerate(calls):
+            if name != "_close":
+                # pushes start from representatives, pulls test only those
+                assert all(is_mode1_rref(c, p, k) for c in args[0].tolist()), (p, k, name)
+                direction, frontier = name, args[0]
+                split_pull |= name == "_pull" and args[0].size > rank_strata._PULL_CHUNK
+                continue
+            _, _, _, _, codes, r, _, before, side = args
+            split_close |= codes.size > rank_strata._CHUNK_ROWS // len(gl2(p))
+            if direction == "_push":
+                # a push closes the classes of unranked sums, in bounded steps
+                assert (before == -1).all() and r >= 2, (p, k, r)
+                assert codes.size <= max(step, frontier.size), (p, k, r)
+                split_push |= names[i - 1] == "_close"
+                continue
+            # exactly one closure follows each pull, and it takes the smaller
+            # side: the ranked representatives when no more than those left
+            # unranked, else the unranked ones, marked -r - 2, when fewer
+            assert names[i - 1] == "_pull" and names[i + 1 : i + 2] != ["_close"], (p, k, r)
+            assert all(is_mode1_rref(c, p, k) for c in codes.tolist())
             if r >= 0:
-                assert codes.size <= np.count_nonzero(side == -1), (p, k, r)
+                assert (before == r).all(), (p, k, r)
+                assert codes.size == np.count_nonzero(side == r) <= np.count_nonzero(side == -1), (p, k, r)
             else:
-                assert codes.size < np.count_nonzero(side == -r - 2), (p, k, r)
+                assert (before == -1).all(), (p, k, r)
+                assert codes.size == np.count_nonzero(side == -1) < np.count_nonzero(side == -r - 2), (p, k, r)
                 smaller_side = True
-        assert all(codes.size <= rank_strata._PULL_CHUNK for codes in canonicalized)
-        split_pull |= any(codes.size > rank_strata._PULL_CHUNK for codes in pulled)
-        split_close |= any(codes.size > rank_strata._CHUNK_ROWS // len(gl2(p)) for codes in closed)
-        split_canon |= len(canonicalized) > len(pushed)
     if "_CHUNK_ROWS" in settings:
-        assert split_pull and split_close and split_canon
+        assert split_pull and split_close and split_push
     # the last layer leaves no representative unranked, so every setting
-    # closes the unranked side at least once, after a push as after a pull
-    assert smaller_side
+    # that pulls closes the unranked side at least once
+    assert smaller_side != all_push
 
 
 def gaussian_binomial_2(p, m):
@@ -509,37 +525,22 @@ def test_mode1_representatives_are_a_transversal(p, k, count):
 @pytest.mark.parametrize("chunk_rows", [None, 1000], ids=["default-chunks", "small-chunks"])
 @pytest.mark.parametrize("p, k", [(2, 3), (3, 3)])
 def test_mode1_closure_writes_exactly_the_orbit(monkeypatch, p, k, chunk_rows):
+    # a push closes the class of any code, not only of a representative:
+    # every nonzero code at (2,3), a seeded sample at (3,3), and every
+    # representative
     if chunk_rows is not None:
         monkeypatch.setattr(rank_strata, "_CHUNK_ROWS", chunk_rows)
     close = rank_strata._mode1_classes(p, 1 << (k - 1))[3]
     reps = mode1_reps(p, k)
     space = p ** (1 << k)
-    for rep in reps:
+    codes = range(1, space) if p == 2 else random.Random(1209).sample(range(1, space), 200)
+    for code in sorted({*codes, *reps.tolist()}):
         rank_of = np.full(space, -1, dtype=np.int8)
-        close(np.array([rep]), 3, rank_of)
-        assert set(np.flatnonzero(rank_of != -1).tolist()) == mode1_orbit(rep, p, k), rep
+        close(np.array([code]), 3, rank_of)
+        assert set(np.flatnonzero(rank_of != -1).tolist()) == mode1_orbit(code, p, k), code
     rank_of = np.full(space, -1, dtype=np.int8)
     close(reps, 2, rank_of)
     assert rank_of[0] == -1 and (rank_of[1:] == 2).all()
-
-
-@pytest.mark.parametrize("p, k", [(2, 3), (3, 3), (2, 4)])
-def test_mode1_canon_is_the_rref_of_each_orbit(p, k):
-    # every code of an orbit maps to the one RREF code in that orbit
-    canon = rank_strata._mode1_classes(p, 1 << (k - 1))[2]
-    space = p ** (1 << k)
-    image = canon(np.arange(space, dtype=np.int32))
-    assert image[0] == 0
-    seen = {0}
-    for code in range(1, space):
-        if code in seen:
-            continue
-        orbit = mode1_orbit(code, p, k)
-        rref = [c for c in orbit if is_mode1_rref(c, p, k)]
-        assert len(rref) == 1, code
-        assert set(image[sorted(orbit)].tolist()) == set(rref), code
-        seen |= orbit
-    assert len(seen) == space
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

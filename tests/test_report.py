@@ -56,7 +56,9 @@ def sidecar_entry(**fields):
     ([sidecar_entry(rows=[-1])], "rows must lie in 0..5"),
     ([sidecar_entry(fields=["size"])], "unknown field"),
     ([sidecar_entry(rows=1)], "must be lists"),
-], ids=["not-a-list", "row-past-the-end", "negative-row", "unknown-field", "rows-not-a-list"])
+    ([sidecar_entry(classification="BOGUS")], "classification must be ERRATUM-SUSPECTED"),
+], ids=["not-a-list", "row-past-the-end", "negative-row", "unknown-field", "rows-not-a-list",
+        "unknown-classification"])
 def test_malformed_errata_sidecar(tmp_path, capsys, monkeypatch, sidecar, message):
     # a sidecar is outside input: each defect is a FixtureError, and exit 2
     shutil.copy(fixtures_dir() / "k3_p3.table", tmp_path)
