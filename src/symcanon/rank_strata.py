@@ -3,12 +3,13 @@
 Stratum 0 is the zero tensor, stratum 1 the simple tensors (generators);
 an unranked code X + g with X in stratum r - 1 has rank r, and codes
 never reached have no decomposition.  Adding a generator acts digit-wise
-on the high and the low half of a code, so per-generator tables of
-translated halves make each sum two gathers and one add.  Each layer of
-`_layered_search` pushes (frontier + every generator) while the frontier
-is small and pulls once it is dense (an unranked u is ranked if some
-u - g lies in the previous layer): Beamer, Asanovic and Patterson,
-"Direction-Optimizing Breadth-First Search", SC'12.
+on the high and the low half of a code, so tables of every half code
+translated by each distinct generator half, indexed per generator, make
+each sum two gathers and one add.  Each layer of `_layered_search` pushes
+(frontier + every generator) while the frontier is small and pulls once
+it is dense (an unranked u is ranked if some u - g lies in the previous
+layer): Beamer, Asanovic and Patterson, "Direction-Optimizing
+Breadth-First Search", SC'12.
 
 The pull needs tables of code - g.  The general simple tensors
 a1 (x) ... (x) ak are closed under negation, so one pair of tables serves
@@ -188,11 +189,12 @@ def _refuse_oversized(space_name, size, budget):
 
 
 def _tables(gen_codes, p, width, sign=1):
-    """(TH, TL, low) with code + sign * g == TH[g, code // low] + TL[g, code % low],
-    digit-wise, for codes of width digits split into high and low halves."""
+    """(TH, IH, TL, IL, low) with code + sign * g == TH[IH[g], code // low]
+    + TL[IL[g], code % low] digit-wise, one table row per distinct half."""
     low = p ** (width // 2)
-    return (_translations(gen_codes // low, p, width - width // 2, sign, low),
-            _translations(gen_codes % low, p, width // 2, sign), low)
+    (high, ih), (rest, il) = (np.unique(half, return_inverse=True) for half in divmod(gen_codes, low))
+    return (_translations(high, p, width - width // 2, sign, low), ih,
+            _translations(rest, p, width // 2, sign), il, low)
 
 
 def _minus_tables(s):
@@ -201,9 +203,9 @@ def _minus_tables(s):
 
 
 def _translations(gen_parts, p, width, sign, scale=1):
-    """(G, p^width) int32 table: scale * (every code plus sign * part g,
-    digit-wise), built as a Kronecker sum one digit at a time, least
-    significant first."""
+    """(len(gen_parts), p^width) int32 table: scale * (every code plus
+    sign * each part, digit-wise), built as a Kronecker sum one digit at a
+    time, least significant first."""
     digits = sign * digits_of_codes(gen_parts, p, width)
     T = np.zeros((len(gen_parts), 1), dtype=np.int32)
     for j in range(width - 1, -1, -1):
@@ -212,14 +214,14 @@ def _translations(gen_parts, p, width, sign, scale=1):
     return T
 
 
-def _translated(frontier, TH, TL, low, rows):
+def _translated(frontier, TH, IH, TL, IL, low, rows):
     """Yields (g, frontier + generators g, g+1, ...) in (block, |F|) chunks
     of about `rows` sums (one generator when |F| exceeds rows)."""
     hi, lo = frontier // low, frontier % low
     block = max(1, rows // frontier.size)
-    for g in range(0, TH.shape[0], block):
-        # take along axis 1 keeps the block contiguous, unlike TH[g:g+block, hi]
-        yield g, np.take(TH[g : g + block], hi, axis=1) + np.take(TL[g : g + block], lo, axis=1)
+    for g in range(0, IH.size, block):
+        # gathering the rows first keeps each np.take contiguous
+        yield g, np.take(TH[IH[g : g + block]], hi, axis=1) + np.take(TL[IL[g : g + block]], lo, axis=1)
 
 
 def _parents(s, codes, minus):
@@ -431,10 +433,8 @@ def _layered_search(space, gens, plus, minus, classes):
                 close(layer, r, rank_of)
             else:
                 close(left, -r - 2, rank_of)
-                shift = (rank_of < 0).view(np.int8)
-                shift *= r + 1
-                rank_of += shift
-                del shift  # one byte per code: not kept through the next layer
+                for start in range(0, space, _CHUNK_ROWS):  # no whole-space temporary
+                    _shift(rank_of[start : start + _CHUNK_ROWS], r + 1)
         if layer.size == 0:
             break
         sizes.append(count(layer))
@@ -442,32 +442,42 @@ def _layered_search(space, gens, plus, minus, classes):
     return rank_of, sizes
 
 
-def _push(frontier, r, TH, TL, low, rank_of, close, largest):
+def _shift(part, by):
+    """Adds `by`, in place, to the negative entries of a slice of rank_of."""
+    shift = (part < 0).view(np.int8)
+    shift *= by
+    part += shift
+
+
+def _push(frontier, r, TH, IH, TL, IL, low, rank_of, close, largest):
     """Ranks r the class of each unranked frontier code plus a generator.
 
     Sums come in steps of about _PULL_CHUNK // largest (the largest class
     size), each re-filtered, so that a class closed by one step is skipped
     by the next; a class hit twice within one step is closed twice."""
-    for _, codes in _translated(frontier, TH, TL, low, _PULL_CHUNK // largest):
+    for _, codes in _translated(frontier, TH, IH, TL, IL, low, _PULL_CHUNK // largest):
         close(codes[rank_of[codes] < 0], r, rank_of)
 
 
-def _pull(candidates, r, TH, TL, low, rank_of):
+def _pull(candidates, r, TH, IH, TL, IL, low, rank_of):
     """Ranks r the candidate codes u with some u - g (from the tables) of
     rank r - 1.
 
-    Generator blocks grow from 4 to 64: most codes hit within a few.
+    Generator blocks grow from 4 to 64 (most codes hit within a few), but
+    to at most 4 * _PULL_CHUNK // |u|: a block tests at most 4 * _PULL_CHUNK
+    (code, generator) pairs, and its int32 sums take 4 MiB.
     """
     for start in range(0, candidates.size, _PULL_CHUNK):
         u = candidates[start : start + _PULL_CHUNK]
         hi, lo = u // low, u % low
-        g, block = 0, 4
-        while g < TH.shape[0] and u.size:
-            codes = np.take(TH[g : g + block], hi, axis=1) + np.take(TL[g : g + block], lo, axis=1)
+        g, block = 0, 2
+        while g < IH.size and u.size:
+            block = min(2 * block, 64, 4 * _PULL_CHUNK // u.size)  # >= 4, as |u| <= _PULL_CHUNK
+            codes = np.take(TH[IH[g : g + block]], hi, axis=1)
+            codes += np.take(TL[IL[g : g + block]], lo, axis=1)
             hit = (rank_of[codes] == r - 1).any(axis=0)
             if hit.any():
                 rank_of[u[hit]] = r
                 miss = np.flatnonzero(~hit)
                 u, hi, lo = u[miss], hi[miss], lo[miss]
             g += block
-            block = min(2 * block, 64)

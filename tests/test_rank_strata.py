@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
@@ -263,6 +264,35 @@ def test_rank_one_generator_counts():
     assert len(rank_one_generators(FieldSpec(7), 4)) == 24
 
 
+@pytest.mark.parametrize("kind, p, k", [("general", 3, 3), ("general", 2, 4),
+                                         ("symmetric", 5, 3), ("symmetric", 3, 4)])
+def test_translation_tables_over_distinct_halves(kind, p, k):
+    # the tables keep one row per distinct generator half; gathered through
+    # the per-generator indices, every generator and sign must give code +- g
+    # digit-wise, checked against pure Python on a seeded sample of codes
+    if kind == "general":
+        gens, width = rank_strata.simple_tensor_codes(FieldSpec(p), k), 1 << k
+    else:
+        gens, width = np.array([c for c, _ in rank_one_generators(FieldSpec(p), k)]), k + 1
+    space = p**width
+    codes = sorted({0, space - 1, *random.Random(1209).sample(range(space), min(space, 200))})
+
+    def digits(c):
+        return [c // p**j % p for j in range(width)]
+
+    for sign in (1, -1):
+        TH, IH, TL, IL, low = rank_strata._tables(gens, p, width, sign)
+        assert TH.shape[0] == np.unique(gens // low).size and TL.shape[0] == np.unique(gens % low).size
+        if kind == "general":
+            assert TH.shape[0] < gens.size and TL.shape[0] < gens.size
+        u = np.array(codes)
+        sums = np.take(TH[IH], u // low, axis=1) + np.take(TL[IL], u % low, axis=1)
+        for g, row in zip(gens.tolist(), sums.tolist()):
+            expected = [sum((a + sign * b) % p * p**j for j, (a, b) in enumerate(zip(digits(c), digits(g))))
+                        for c in codes]
+            assert row == expected, (sign, g)
+
+
 def test_decompose_rank1():
     s = symmetric_rank_strata(F2, 3)
     w = decompose(symmetric_outer_power((1, 0), 3, F2), s)
@@ -384,6 +414,35 @@ def test_general_rank_of_pinned(general_for):
         assert general_sha256(g) == expected, (p, k)
 
 
+@pytest.mark.parametrize("p, k, bound_mib", [(7, 3, 24), (3, 4, 48)])
+def test_general_search_bytes_beyond_the_rank_table(monkeypatch, p, k, bound_mib):
+    # the int8 rank table takes p^(2^k) bytes; everything else the search
+    # allocates at once (translation tables, representatives, pull blocks,
+    # closure chunks, the shift) must stay within a fixed budget on top.
+    # A pull adds at most 16 MiB to what is live before it: the int64 halves
+    # of _PULL_CHUNK candidates (4 MiB) and one block of at most
+    # 4 * _PULL_CHUNK tests (two int32 arrays of 4 MiB, two 1 MiB masks)
+    peaks, pulls, real_pull = [], [], rank_strata._pull
+
+    def pull(*args):
+        live, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        tracemalloc.reset_peak()
+        real_pull(*args)
+        pulls.append(tracemalloc.get_traced_memory()[1] - live)
+
+    monkeypatch.setattr(rank_strata, "_pull", pull)
+    tracemalloc.start()
+    try:
+        general_rank_strata(FieldSpec(p), k)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    above = max(peaks) - p ** (1 << k)
+    assert above < bound_mib << 20, (p, k, above / 2**20)
+    assert pulls and max(pulls) < 16 << 20, (p, k, max(pulls, default=0) / 2**20)
+
+
 def is_mode1_rref(code, p, k):
     """Whether [u1; u2], the matrix of the code's two mode-1 slices, is
     nonzero and in reduced row echelon form."""
@@ -432,6 +491,14 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
             return real(*args)
 
         monkeypatch.setattr(rank_strata, name, spy)
+    # the size of every slice the shift after a marked closure updates
+    shifts, real_shift = [], rank_strata._shift
+
+    def shift(part, by):
+        shifts.append(part.size)
+        real_shift(part, by)
+
+    monkeypatch.setattr(rank_strata, "_shift", shift)
     all_pull, all_push = settings.get("_PUSH_FACTOR") == 0, settings.get("_PUSH_FACTOR") == 10**18
     # one loop serves both rank notions, so each setting checks both pins;
     # the symmetric strata run it on single codes, never on mode-1 classes
@@ -441,9 +508,10 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
     names = [name for name, _ in calls]
     assert "_close" not in names
     assert ("_push" in names) != all_pull and ("_pull" in names) != all_push
-    split_pull = split_close = split_push = smaller_side = False
+    split_pull = split_close = split_push = split_shift = smaller_side = False
     for p, k in [(2, 3), (3, 3), (5, 3), (2, 4)]:
         calls.clear()
+        shifts.clear()
         reps = mode1_reps(p, k)
         g = general_rank_strata(FieldSpec(p), k)
         assert general_sha256(g) == PINNED_GENERAL_SHA256[(p, k)], (p, k, settings)
@@ -485,8 +553,13 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
                 assert (before == -1).all(), (p, k, r)
                 assert codes.size == np.count_nonzero(side == -1) < np.count_nonzero(side == -r - 2), (p, k, r)
                 smaller_side = True
+        # each marked closure is followed by one shift of the whole space, in
+        # slices of at most _CHUNK_ROWS codes
+        marked = sum(name == "_close" and args[5] < 0 for name, args in calls)
+        assert sum(shifts) == marked * p ** (1 << k) and max(shifts, default=0) <= rank_strata._CHUNK_ROWS
+        split_shift |= len(shifts) > marked
     if "_CHUNK_ROWS" in settings:
-        assert split_pull and split_close and split_push
+        assert split_pull and split_close and split_push and split_shift
     # the last layer leaves no representative unranked, so every setting
     # that pulls closes the unranked side at least once
     assert smaller_side != all_push
