@@ -3,13 +3,13 @@
 Stratum 0 is the zero tensor, stratum 1 the simple tensors (generators);
 an unranked code X + g with X in stratum r - 1 has rank r, and codes
 never reached have no decomposition.  Adding a generator acts digit-wise
-on the high and the low half of a code, so tables of every half code
-translated by each distinct generator half, indexed per generator, make
-each sum two gathers and one add.  Each layer of `_layered_search` pushes
-(frontier + every generator) while the frontier is small and pulls once
-it is dense (an unranked u is ranked if some u - g lies in the previous
-layer): Beamer, Asanovic and Patterson, "Direction-Optimizing
-Breadth-First Search", SC'12.
+on the high and the low half of a code, so with tables of every half code
+translated by each distinct generator half, a push takes the frontier's
+columns once and each sum is two row gathers and one add.  Each layer of
+`_layered_search` pushes (frontier + every generator) while the frontier
+is small and pulls once it is dense (an unranked u is ranked if some
+u - g lies in the previous layer): Beamer, Asanovic and Patterson,
+"Direction-Optimizing Breadth-First Search", SC'12.
 
 The pull needs tables of code - g.  The general simple tensors
 a1 (x) ... (x) ak are closed under negation, so one pair of tables serves
@@ -215,13 +215,17 @@ def _translations(gen_parts, p, width, sign, scale=1):
 
 
 def _translated(frontier, TH, IH, TL, IL, low, rows):
-    """Yields (g, frontier + generators g, g+1, ...) in (block, |F|) chunks
-    of about `rows` sums (one generator when |F| exceeds rows)."""
-    hi, lo = frontier // low, frontier % low
-    block = max(1, rows // frontier.size)
-    for g in range(0, IH.size, block):
-        # gathering the rows first keeps each np.take contiguous
-        yield g, np.take(TH[IH[g : g + block]], hi, axis=1) + np.take(TL[IL[g : g + block]], lo, axis=1)
+    """Yields (cols, g, frontier[cols] + generators g, g+1, ...) in chunks of
+    about `rows` sums; each slice cols takes its columns of both tables once
+    (at most 4 * _PULL_CHUNK entries), so a block is two row gathers and an add."""
+    step = max(1, 4 * _PULL_CHUNK // (TH.shape[0] + TL.shape[0]))
+    for start in range(0, frontier.size, step):
+        cols = slice(start, start + step)
+        f = frontier[cols]
+        hi, lo = np.take(TH, f // low, axis=1), np.take(TL, f % low, axis=1)
+        block = max(1, rows // hi.shape[1])
+        for g in range(0, IH.size, block):
+            yield cols, g, hi[IH[g : g + block]] + lo[IL[g : g + block]]
 
 
 def _parents(s, codes, minus):
@@ -234,10 +238,10 @@ def _parents(s, codes, minus):
     r = s._rank_of[codes]
     sentinel = np.iinfo(np.int64).max
     best = np.full(codes.size, sentinel, dtype=np.int64)
-    for g, preds in _translated(codes, *minus, _CHUNK_ROWS):
+    for cols, g, preds in _translated(codes, *minus, _CHUNK_ROWS):
         keys = preds * np.int64(G) + np.arange(g, g + preds.shape[0])[:, None]
-        keys[s._rank_of[preds] != r - 1] = sentinel
-        best = np.minimum(best, keys.min(axis=0))
+        keys[s._rank_of[preds] != r[cols] - 1] = sentinel
+        best[cols] = np.minimum(best[cols], keys.min(axis=0))
     if (best == sentinel).any():
         raise AssertionError("no predecessor one rank lower; rank table corrupt")
     return best // G, best % G
@@ -312,21 +316,17 @@ class GeneralRankStratification:
         return self.rank_of_code(encode(X))
 
     def stratum_codes(self, r):
-        return np.flatnonzero(self._rank_of == r).astype(np.int64)
+        return np.flatnonzero(self._rank_of == r).astype(np.int64, copy=False)
 
 
 def simple_tensor_codes(field, k):
-    """Sorted unique codes of a1 (x) ... (x) ak over nonzero vectors."""
+    """Sorted codes of the simple tensors, each built once: the factors are
+    unique up to scalars, so each is lambda * (a1 (x) ... (x) ak) for exactly
+    one lambda in F_p^* and points ai = (1, t) or (0, 1) of P^1."""
     p = field.p
-    vecs = np.array(
-        [(i, j) for i in range(p) for j in range(p)][1:], dtype=np.int64
-    )
-    cur = vecs
-    for _ in range(k - 1):
-        cur = (cur[:, None, :, None] * vecs[None, :, None, :]).reshape(
-            cur.shape[0] * vecs.shape[0], cur.shape[1] * 2
-        ) % p
-    return np.unique(cur @ full_place_values(p, k))
+    points = np.array([(1, t) for t in range(p)] + [(0, 1)], dtype=np.int64)
+    products = reduce(np.kron, [points] * k)  # row-wise a1 (x) ... (x) ak
+    return np.sort((np.arange(1, p)[:, None, None] * products % p @ full_place_values(p, k)).ravel())
 
 
 def general_rank_strata(field, k, budget=DEFAULT_BUDGET):
@@ -455,7 +455,7 @@ def _push(frontier, r, TH, IH, TL, IL, low, rank_of, close, largest):
     Sums come in steps of about _PULL_CHUNK // largest (the largest class
     size), each re-filtered, so that a class closed by one step is skipped
     by the next; a class hit twice within one step is closed twice."""
-    for _, codes in _translated(frontier, TH, IH, TL, IL, low, _PULL_CHUNK // largest):
+    for *_, codes in _translated(frontier, TH, IH, TL, IL, low, _PULL_CHUNK // largest):
         close(codes[rank_of[codes] < 0], r, rank_of)
 
 

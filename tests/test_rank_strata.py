@@ -5,7 +5,8 @@ import subprocess
 import sys
 import tracemalloc
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -213,9 +214,23 @@ def test_parent_links_pinned(strata_for):
         assert strata_sha256(strata_for(p, k)) == expected, (p, k)
 
 
-def test_parent_links_pinned_beyond_fixtures():
+def test_parent_links_pinned_beyond_fixtures(monkeypatch):
+    # the (19,3) push (|F| = 7 080) and the parent lookup of every code take
+    # more table columns than one frontier slice may hold: each slice's
+    # columns of both tables stay within 4 * _PULL_CHUNK entries
+    taken, slices, real_translated = [], {}, rank_strata._translated
+
+    def translated(frontier, TH, IH, TL, IL, low, rows):
+        for cols, g, sums in real_translated(frontier, TH, IH, TL, IL, low, rows):
+            taken.append((TH.shape[0] + TL.shape[0]) * sums.shape[1])
+            slices.setdefault(frontier.size, set()).add(cols.start)
+            yield cols, g, sums
+
+    monkeypatch.setattr(rank_strata, "_translated", translated)
     for (p, k), expected in PINNED_STRATA_SHA256_BEYOND_FIXTURES.items():
         assert strata_sha256(symmetric_rank_strata(FieldSpec(p), k)) == expected, (p, k)
+    assert max(taken) <= 4 * rank_strata._PULL_CHUNK
+    assert len(slices[7080]) == 2  # 7 080 codes x 230 table rows = 1.63 M entries
 
 
 @pytest.mark.parametrize("p,k", [(3, 3), (5, 3), (2, 4), (3, 4)])
@@ -291,6 +306,64 @@ def test_translation_tables_over_distinct_halves(kind, p, k):
             expected = [sum((a + sign * b) % p * p**j for j, (a, b) in enumerate(zip(digits(c), digits(g))))
                         for c in codes]
             assert row == expected, (sign, g)
+
+
+@pytest.mark.parametrize("kind, p, k, sign", [("general", 3, 3, 1), ("symmetric", 5, 3, 1),
+                                               ("symmetric", 5, 3, -1)])
+@pytest.mark.parametrize("size", [1, 3, 50])
+def test_translated_chunks_are_every_code_plus_every_generator(monkeypatch, kind, p, k, sign, size):
+    # every (frontier code, generator) sum is yielded exactly once and equals
+    # code + sign * g digit-wise; 50 codes with _PULL_CHUNK set to the table
+    # rows force frontier slices of 4 codes and, at rows=3, blocks of one
+    # generator
+    if kind == "general":
+        gens, width = rank_strata.simple_tensor_codes(FieldSpec(p), k), 1 << k
+    else:
+        gens, width = np.array([c for c, _ in rank_one_generators(FieldSpec(p), k)]), k + 1
+    tables = rank_strata._tables(gens, p, width, sign)
+    rows_total = tables[0].shape[0] + tables[2].shape[0]
+    rows = 7
+    if size == 50:
+        monkeypatch.setattr(rank_strata, "_PULL_CHUNK", rows_total)
+        rows = 3
+    frontier = np.array(random.Random(size).sample(range(p**width), size))
+
+    def digitwise(c, g):
+        return sum((c // p**j % p + sign * (g // p**j % p)) % p * p**j for j in range(width))
+
+    seen, slices, blocks = [], set(), set()
+    for cols, g, sums in rank_strata._translated(frontier, *tables, rows):
+        assert sums.dtype == np.int32 and rows_total * sums.shape[1] <= 4 * rank_strata._PULL_CHUNK
+        codes = frontier[cols].tolist()
+        slices.add((cols.start, len(codes)))
+        blocks.add(sums.shape[0])
+        for i, row in enumerate(sums.tolist()):
+            assert row == [digitwise(c, int(gens[g + i])) for c in codes], (g + i, codes)
+            seen += [(c, g + i) for c in codes]
+    assert sorted(seen) == sorted(product(frontier.tolist(), range(gens.size)))
+    if size == 50:
+        assert len(slices) == 13 and blocks == {1}
+    else:
+        assert len(slices) == 1 and max(blocks) == max(1, rows // size)
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 3), (5, 3), (7, 3), (2, 4), (3, 4), (5, 4), (7, 4)])
+def test_simple_tensor_codes_build_each_simple_tensor_once(p, k):
+    # (p + 1)^k points of P^1 times p - 1 scalars, strictly ascending; where
+    # (p^2 - 1)^k tuples are few, equal to every a1 (x) ... (x) ak over
+    # nonzero vectors, in pure Python
+    codes = rank_strata.simple_tensor_codes(FieldSpec(p), k)
+    assert codes.dtype == np.int64 and codes.size == (p + 1) ** k * (p - 1)
+    assert (np.diff(codes) > 0).all()
+    if (p * p - 1) ** k > 20000:
+        return
+    vecs = [v for v in product(range(p), repeat=2) if any(v)]
+    brute = {
+        encode(Tensor(FieldSpec(p), tuple(prod(a[t >> (k - 1 - i) & 1] for i, a in enumerate(factors)) % p
+                                          for t in range(1 << k))))
+        for factors in product(vecs, repeat=k)
+    }
+    assert codes.tolist() == sorted(brute)
 
 
 def test_decompose_rank1():
@@ -663,6 +736,23 @@ def test_int32_code_limit_refused_before_any_work(monkeypatch):
 
 def test_import_does_not_load_scipy():
     script = "import sys, symcanon; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert run_python("-c", script).strip() == "[]"
+
+
+def test_hot_paths_import_nothing_lazily():
+    # a module first imported inside a search (numpy.ma, by a plain np.unique
+    # on numpy 2) costs every fresh process; numpy 1.24 imports numpy.ma
+    # with numpy, so only new modules count
+    script = """
+import sys
+from symcanon import FieldSpec, classify, decompose, general_rank_strata, symmetric_outer_power, symmetric_rank_strata
+before = set(sys.modules)
+f = FieldSpec(2)
+general_rank_strata(f, 3)
+classify(f, 3)
+decompose(symmetric_outer_power((1, 1), 3, f), symmetric_rank_strata(f, 3))
+print(sorted(set(sys.modules) - before))
+"""
     assert run_python("-c", script).strip() == "[]"
 
 
