@@ -42,9 +42,13 @@ takes the rank.  At p = 3, k = 4 the layer-3 push starts from 3 792
 representatives instead of 101 376 codes and closes the classes of
 169 370 of its 1.9 M sums, the rest being ranked by the classes closed
 before them; the layer-4 pull tests 761 404 representatives instead of
-36.5 M codes and closes 11 016 classes instead of 750 388.  A budget
-caps the space (p = 7, k = 4 with ~3.3e13 codes fails explicitly); codes
-are int32, so spaces beyond 2^31 codes are refused whatever the budget.
+36.5 M codes and closes 11 016 classes instead of 750 388.  Besides the
+int8 rank table, the tables (of which a pull block copies up to 64 rows)
+and the int32 representatives, each temporary of a pass (the sums of a
+pull block, a closure chunk, a shift slice) holds about _PULL_CHUNK
+entries, whatever the space.  A budget caps the space (p = 7, k = 4
+with ~3.3e13 codes fails explicitly); codes are int32, so spaces beyond
+2^31 codes are refused whatever the budget.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -68,12 +72,10 @@ from .tensor import (
 
 DEFAULT_BUDGET = 10**8
 
-# (code, generator) sums per chunk of a push or a parent lookup
-_CHUNK_ROWS = 1 << 22
 _MAX_CODES = 1 << 31  # translation tables hold int32 codes
 
-# a layer pushes iff |frontier| * G <= _PUSH_FACTOR * |unranked| and
-# pulls _PULL_CHUNK unranked codes at a time
+# a layer pushes iff |frontier| * G <= _PUSH_FACTOR * |unranked|; each
+# temporary of a pass or a parent lookup holds about _PULL_CHUNK entries
 _PUSH_FACTOR = 10
 _PULL_CHUNK = 1 << 18
 
@@ -190,11 +192,12 @@ def _refuse_oversized(space_name, size, budget):
 
 def _tables(gen_codes, p, width, sign=1):
     """(TH, IH, TL, IL, low) with code + sign * g == TH[IH[g], code // low]
-    + TL[IL[g], code % low] digit-wise, one table row per distinct half."""
+    + TL[IL[g], code % low] digit-wise, one table row per distinct half; TL
+    is uint16, its entries below low < 46 341 for any space under 2^31."""
     low = p ** (width // 2)
     (high, ih), (rest, il) = (np.unique(half, return_inverse=True) for half in divmod(gen_codes, low))
     return (_translations(high, p, width - width // 2, sign, low), ih,
-            _translations(rest, p, width // 2, sign), il, low)
+            _translations(rest, p, width // 2, sign).astype(np.uint16), il, low)
 
 
 def _minus_tables(s):
@@ -238,7 +241,7 @@ def _parents(s, codes, minus):
     r = s._rank_of[codes]
     sentinel = np.iinfo(np.int64).max
     best = np.full(codes.size, sentinel, dtype=np.int64)
-    for cols, g, preds in _translated(codes, *minus, _CHUNK_ROWS):
+    for cols, g, preds in _translated(codes, *minus, _PULL_CHUNK):
         keys = preds * np.int64(G) + np.arange(g, g + preds.shape[0])[:, None]
         keys[s._rank_of[preds] != r[cols] - 1] = sentinel
         best[cols] = np.minimum(best[cols], keys.min(axis=0))
@@ -358,10 +361,10 @@ def _mode1_classes(p, m):
     The representatives are the nonzero codes with [u1; u2] in reduced row
     echelon form (pivot: leading nonzero digit; monic: pivot digit 1): u1
     monic and u2 = 0, or u1 and u2 monic, the pivot of u2 right of that of
-    u1 and u1 zero there.  select(rank_of, r) gives the representatives of
-    rank r, count(reps) the number of codes in their classes (p^2 - 1 for
-    u2 = 0, |GL2| otherwise), largest is |GL2|, and close(codes, r,
-    rank_of) writes r to the classes of any codes.
+    u1 and u1 zero there.  select(rank_of, r) gives the int32
+    representatives of rank r, count(reps) the number of codes in their
+    classes (p^2 - 1 for u2 = 0, |GL2| otherwise), largest is |GL2|, and
+    close(codes, r, rank_of) writes r to the classes of any codes.
     """
     H = p**m
     digits = digits_of_codes(np.arange(H), p, m)
@@ -371,7 +374,7 @@ def _mode1_classes(p, m):
     for j in range(1, m):
         u1 = np.flatnonzero(monic & (pivot < j) & (digits[:, j] == 0))
         reps.append((u1[:, None] * H + np.flatnonzero(monic & (pivot == j))).ravel())
-    reps = np.concatenate(reps)
+    reps = np.concatenate(reps).astype(np.int32)  # every code is below _MAX_CODES
     place = p ** np.arange(m - 1, -1, -1)
     scale = np.stack([(a * digits % p) @ place for a in range(p)]).astype(np.int32)
     w = (m + 1) // 2
@@ -379,7 +382,8 @@ def _mode1_classes(p, m):
     a, b = np.divmod(np.arange(p * p), p)
     first, second = np.nonzero((a[:, None] * b - b[:, None] * a) % p)  # rows of A in GL2
     return (lambda rank_of, r: reps[rank_of[reps] == r],
-            lambda codes: int(np.where(codes % H, first.size, p * p - 1).sum()),
+            lambda codes: (codes.size * (p * p - 1)
+                           + int(np.count_nonzero(codes % H)) * (first.size - p * p + 1)),
             first.size,
             partial(_close, scale, add, first, second))
 
@@ -390,10 +394,11 @@ def _close(scale, add, first, second, codes, r, rank_of):
 
     Digit-wise, scale[a, u] is a u and add[x, y] is x + y on quarter codes.
     Over the invertible A, (a, b) = divmod(first, p) and (c, d) =
-    divmod(second, p).
+    divmod(second, p).  Codes come in chunks of _PULL_CHUNK // |GL2|, so
+    each chunk's orbits take about _PULL_CHUNK int32 codes (1 MiB).
     """
     H, Q = scale.shape[1], add.shape[0]
-    chunk = max(1, _CHUNK_ROWS // first.size)
+    chunk = max(1, _PULL_CHUNK // first.size)
     for start in range(0, codes.size, chunk):
         u = codes[start : start + chunk]
         x, y = scale[:, None, u // H], scale[None, :, u % H]
@@ -412,8 +417,8 @@ def _layered_search(space, gens, plus, minus, classes):
     the unranked representatives and then closes the smaller side (see
     the module docstring): the classes just ranked or, when fewer stayed
     unranked, those, marked -r - 2, after which every negative code shifts
-    by r + 1, so the unmarked unranked codes become r and the marked ones
-    -1 again."""
+    by r + 1, in slices of _PULL_CHUNK codes, so the unmarked unranked
+    codes become r and the marked ones -1 again."""
     select, count, largest, close = classes
     rank_of = np.full(space, -1, dtype=np.int8)
     rank_of[0] = 0
@@ -433,8 +438,8 @@ def _layered_search(space, gens, plus, minus, classes):
                 close(layer, r, rank_of)
             else:
                 close(left, -r - 2, rank_of)
-                for start in range(0, space, _CHUNK_ROWS):  # no whole-space temporary
-                    _shift(rank_of[start : start + _CHUNK_ROWS], r + 1)
+                for start in range(0, space, _PULL_CHUNK):  # no whole-space temporary
+                    _shift(rank_of[start : start + _PULL_CHUNK], r + 1)
         if layer.size == 0:
             break
         sizes.append(count(layer))
@@ -463,16 +468,16 @@ def _pull(candidates, r, TH, IH, TL, IL, low, rank_of):
     """Ranks r the candidate codes u with some u - g (from the tables) of
     rank r - 1.
 
-    Generator blocks grow from 4 to 64 (most codes hit within a few), but
-    to at most 4 * _PULL_CHUNK // |u|: a block tests at most 4 * _PULL_CHUNK
-    (code, generator) pairs, and its int32 sums take 4 MiB.
+    Candidates come in chunks of |u| <= _PULL_CHUNK // 4, and generator
+    blocks grow from 4 to 64 (most codes hit within a few) but stay within
+    _PULL_CHUNK // |u|: a block tests <= _PULL_CHUNK pairs (1 MiB of sums).
     """
-    for start in range(0, candidates.size, _PULL_CHUNK):
-        u = candidates[start : start + _PULL_CHUNK]
+    for start in range(0, candidates.size, _PULL_CHUNK // 4):
+        u = candidates[start : start + _PULL_CHUNK // 4]
         hi, lo = u // low, u % low
         g, block = 0, 2
         while g < IH.size and u.size:
-            block = min(2 * block, 64, 4 * _PULL_CHUNK // u.size)  # >= 4, as |u| <= _PULL_CHUNK
+            block = min(2 * block, 64, _PULL_CHUNK // u.size)  # >= 4, as |u| <= _PULL_CHUNK // 4
             codes = np.take(TH[IH[g : g + block]], hi, axis=1)
             codes += np.take(TL[IL[g : g + block]], lo, axis=1)
             hit = (rank_of[codes] == r - 1).any(axis=0)

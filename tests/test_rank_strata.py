@@ -263,13 +263,34 @@ def test_parent_of_is_least_derivation(p, k):
 
 
 def test_chunk_boundaries_do_not_change_parent_links(monkeypatch):
-    # at 1000 sums per push step and 1000 candidates per pull chunk every
-    # large layer spans many steps, and so does each parent lookup
+    # at _PULL_CHUNK = 1000, 1000 sums per push step and 250 candidates per
+    # pull chunk, some layer spans many push steps, some pull many chunks,
+    # and some parent lookup many blocks
     monkeypatch.setattr(rank_strata, "_PULL_CHUNK", 1000)
-    monkeypatch.setattr(rank_strata, "_CHUNK_ROWS", 1000)
+    chunks, pulled = [], []
+    real_translated, real_pull = rank_strata._translated, rank_strata._pull
+
+    def translated(*args):
+        chunks.append(0)
+        for chunk in real_translated(*args):
+            chunks[-1] += 1
+            yield chunk
+
+    def pull(candidates, *args):
+        pulled.append(candidates.size)
+        real_pull(candidates, *args)
+
+    monkeypatch.setattr(rank_strata, "_translated", translated)
+    monkeypatch.setattr(rank_strata, "_pull", pull)
+    split_push = split_parents = False
     for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
+        chunks.clear()
         s = symmetric_rank_strata(FieldSpec(p), k)
+        pushed = len(chunks)
         assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k)
+        split_push |= max(chunks[:pushed], default=0) > 1
+        split_parents |= max(chunks[pushed:]) > 1
+    assert split_push and split_parents and max(pulled) > 1000 // 4
 
 
 def test_rank_one_generator_counts():
@@ -298,6 +319,7 @@ def test_translation_tables_over_distinct_halves(kind, p, k):
     for sign in (1, -1):
         TH, IH, TL, IL, low = rank_strata._tables(gens, p, width, sign)
         assert TH.shape[0] == np.unique(gens // low).size and TL.shape[0] == np.unique(gens % low).size
+        assert TH.dtype == np.int32 and TL.dtype == np.uint16
         if kind == "general":
             assert TH.shape[0] < gens.size and TL.shape[0] < gens.size
         u = np.array(codes)
@@ -487,14 +509,16 @@ def test_general_rank_of_pinned(general_for):
         assert general_sha256(g) == expected, (p, k)
 
 
-@pytest.mark.parametrize("p, k, bound_mib", [(7, 3, 24), (3, 4, 48)])
+@pytest.mark.parametrize("p, k, bound_mib", [(7, 3, 10), (3, 4, 24)])
 def test_general_search_bytes_beyond_the_rank_table(monkeypatch, p, k, bound_mib):
     # the int8 rank table takes p^(2^k) bytes; everything else the search
-    # allocates at once (translation tables, representatives, pull blocks,
-    # closure chunks, the shift) must stay within a fixed budget on top.
-    # A pull adds at most 16 MiB to what is live before it: the int64 halves
-    # of _PULL_CHUNK candidates (4 MiB) and one block of at most
-    # 4 * _PULL_CHUNK tests (two int32 arrays of 4 MiB, two 1 MiB masks)
+    # allocates at once (translation tables, int32 representatives, pull
+    # blocks, closure chunks, the shift) must stay within a fixed budget on
+    # top.  A pull adds at most 6 MiB to what is live before it: the int32
+    # halves of _PULL_CHUNK // 4 candidates (0.5 MiB), the table rows of one
+    # block of at most 64 generators (2.4 MiB at (3,4)) and its at most
+    # _PULL_CHUNK tests (1 MiB of int32 sums, half that for the uint16 gather
+    # and for the two masks)
     peaks, pulls, real_pull = [], [], rank_strata._pull
 
     def pull(*args):
@@ -513,7 +537,7 @@ def test_general_search_bytes_beyond_the_rank_table(monkeypatch, p, k, bound_mib
         tracemalloc.stop()
     above = max(peaks) - p ** (1 << k)
     assert above < bound_mib << 20, (p, k, above / 2**20)
-    assert pulls and max(pulls) < 16 << 20, (p, k, max(pulls, default=0) / 2**20)
+    assert pulls and max(pulls) < 6 << 20, (p, k, max(pulls, default=0) / 2**20)
 
 
 def is_mode1_rref(code, p, k):
@@ -544,7 +568,7 @@ def mode1_reps(p, k):
 @pytest.mark.parametrize("settings", [
     {"_PUSH_FACTOR": 0},                          # every layer pulls
     {"_PUSH_FACTOR": 10**18},                     # every layer pushes
-    {"_CHUNK_ROWS": 1000, "_PULL_CHUNK": 100},    # many chunks per layer
+    {"_PULL_CHUNK": 400},                         # many chunks per layer
 ], ids=["all-pull", "all-push", "small-chunks"])
 def test_general_search_directions_and_chunks(monkeypatch, settings):
     for name, value in settings.items():
@@ -552,6 +576,15 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
     # one log in call order; a closure also keeps, as they were before the
     # call, the ranks of the codes it closes and of every representative
     calls, reps = [], None
+    # a pull gathers the high-table rows of a generator block, then takes
+    # the columns of its codes: each take records the pairs the block tests
+    pairs = []
+
+    class Rows(np.ndarray):
+        def take(self, indices, axis=None, out=None, mode="raise"):
+            pairs.append(self.shape[0] * indices.size)
+            return np.asarray(self).take(indices, axis, out, mode)
+
     for name in ("_push", "_pull", "_close"):
         real = getattr(rank_strata, name)
 
@@ -561,6 +594,8 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
                 codes, rank_of = args[4], args[-1]
                 kept = (rank_of[codes].copy(), rank_of[reps].copy())
             calls.append((name, args + kept))
+            if name == "_pull":
+                args = args[:2] + (args[2].view(Rows),) + args[3:]
             return real(*args)
 
         monkeypatch.setattr(rank_strata, name, spy)
@@ -602,12 +637,13 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
         for i, (name, args) in enumerate(calls):
             if name != "_close":
                 # pushes start from representatives, pulls test only those
+                assert args[0].dtype == np.int32
                 assert all(is_mode1_rref(c, p, k) for c in args[0].tolist()), (p, k, name)
                 direction, frontier = name, args[0]
-                split_pull |= name == "_pull" and args[0].size > rank_strata._PULL_CHUNK
+                split_pull |= name == "_pull" and args[0].size > rank_strata._PULL_CHUNK // 4
                 continue
             _, _, _, _, codes, r, _, before, side = args
-            split_close |= codes.size > rank_strata._CHUNK_ROWS // len(gl2(p))
+            split_close |= codes.size > max(1, rank_strata._PULL_CHUNK // len(gl2(p)))
             if direction == "_push":
                 # a push closes the classes of unranked sums, in bounded steps
                 assert (before == -1).all() and r >= 2, (p, k, r)
@@ -627,12 +663,14 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
                 assert codes.size == np.count_nonzero(side == -1) < np.count_nonzero(side == -r - 2), (p, k, r)
                 smaller_side = True
         # each marked closure is followed by one shift of the whole space, in
-        # slices of at most _CHUNK_ROWS codes
+        # slices of at most _PULL_CHUNK codes
         marked = sum(name == "_close" and args[5] < 0 for name, args in calls)
-        assert sum(shifts) == marked * p ** (1 << k) and max(shifts, default=0) <= rank_strata._CHUNK_ROWS
+        assert sum(shifts) == marked * p ** (1 << k) and max(shifts, default=0) <= rank_strata._PULL_CHUNK
         split_shift |= len(shifts) > marked
-    if "_CHUNK_ROWS" in settings:
+    assert max(pairs, default=0) <= rank_strata._PULL_CHUNK
+    if "_PULL_CHUNK" in settings:
         assert split_pull and split_close and split_push and split_shift
+        assert max(pairs) == rank_strata._PULL_CHUNK  # 4 generators x 100 codes
     # the last layer leaves no representative unranked, so every setting
     # that pulls closes the unranked side at least once
     assert smaller_side != all_push
@@ -653,6 +691,7 @@ def test_mode1_representatives_are_a_transversal(p, k, count):
     # one representative per nonzero subspace span(X1, X2) of dimension 1 or 2
     m = 1 << (k - 1)
     reps = mode1_reps(p, k)
+    assert reps.dtype == np.int32  # every code is below 2^31
     assert reps.size == len(set(reps.tolist())) == count
     assert count == (p**m - 1) // (p - 1) + gaussian_binomial_2(p, m)
     # the class sizes sum to the nonzero codes
@@ -668,16 +707,17 @@ def test_mode1_representatives_are_a_transversal(p, k, count):
     assert seen == set(range(1, p ** (1 << k)))
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 1000], ids=["default-chunks", "small-chunks"])
+@pytest.mark.parametrize("chunk", [None, 100], ids=["default-chunks", "small-chunks"])
 @pytest.mark.parametrize("p, k", [(2, 3), (3, 3)])
-def test_mode1_closure_writes_exactly_the_orbit(monkeypatch, p, k, chunk_rows):
+def test_mode1_closure_writes_exactly_the_orbit(monkeypatch, p, k, chunk):
     # a push closes the class of any code, not only of a representative:
     # every nonzero code at (2,3), a seeded sample at (3,3), and every
-    # representative
-    if chunk_rows is not None:
-        monkeypatch.setattr(rank_strata, "_CHUNK_ROWS", chunk_rows)
+    # representative, in one closure that small chunks split
     close = rank_strata._mode1_classes(p, 1 << (k - 1))[3]
     reps = mode1_reps(p, k)
+    if chunk is not None:
+        monkeypatch.setattr(rank_strata, "_PULL_CHUNK", chunk)
+        assert reps.size > max(1, chunk // len(gl2(p)))
     space = p ** (1 << k)
     codes = range(1, space) if p == 2 else random.Random(1209).sample(range(1, space), 200)
     for code in sorted({*codes, *reps.tolist()}):
@@ -687,6 +727,23 @@ def test_mode1_closure_writes_exactly_the_orbit(monkeypatch, p, k, chunk_rows):
     rank_of = np.full(space, -1, dtype=np.int8)
     close(reps, 2, rank_of)
     assert rank_of[0] == -1 and (rank_of[1:] == 2).all()
+
+
+def test_mode1_closure_bytes_stay_within_one_chunk():
+    # a closure works in chunks of _PULL_CHUNK // |GL2| codes, whose orbits
+    # take _PULL_CHUNK int32 codes (1 MiB), however many codes it closes:
+    # here all 3 250 representatives at (7,3), 6.5 M codes
+    close = rank_strata._mode1_classes(7, 4)[3]
+    reps = mode1_reps(7, 3)
+    rank_of = np.full(7**8, -1, dtype=np.int8)
+    tracemalloc.start()
+    try:
+        close(reps, 2, rank_of)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reps.size == 3250 and rank_of[0] == -1 and (rank_of[1:] == 2).all()
+    assert peak < 4 << 20, peak / 2**20
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
