@@ -1,13 +1,13 @@
 """Full classification: orbits from labels, ranks from the strata.
 
 `orbit_labels` gives every compact code the least code of its orbit, so
-the distinct labels are the canonical forms and their multiplicities the
-orbit sizes.  Rank is invariant under the action, so each orbit takes
-the rank of its canonical form; a rank that is not constant on an orbit
-means the action or the strata are corrupt and raises.  Tensors without
-a symmetric decomposition are processed the same way and reported
-separately; their orbit structure is an extension not covered by the
-published tables.
+the canonical forms are the codes labelled by themselves, and a count of
+the labels (`np.bincount`) gives the orbit sizes.  Rank is invariant
+under the action, so each orbit takes the rank of its canonical form; a
+code whose rank differs from its label's means the action or the strata
+are corrupt and raises.  Tensors without a symmetric decomposition are
+processed the same way and reported separately; their orbit structure is
+an extension not covered by the published tables.
 """
 
 import time
@@ -56,10 +56,12 @@ def classify(field, k, budget=DEFAULT_BUDGET):
     p = field.p
     strata = symmetric_rank_strata(field, k, budget)
     lab = orbit_labels(action_stack(field, k), p)
-    canon, which, sizes = np.unique(lab, return_inverse=True, return_counts=True)
-    ranks = strata._rank_of[canon]
-    if (strata._rank_of != ranks[which]).any():
+    rank_of = strata._rank_of
+    if (rank_of.take(lab) != rank_of).any():
         raise AssertionError("rank is not constant on an orbit; action or strata corrupt")
+    counts = np.bincount(lab)
+    canon = np.flatnonzero(counts)  # the labels, i.e. the codes labelled by themselves
+    sizes, ranks = counts[canon], rank_of[canon]
     digits = digits_of_codes(canon, p, k + 1)
     full_codes = digits @ compact_weights(p, k)
     entries = digits[:, list(twos_counts(k))]

@@ -133,23 +133,29 @@ def action_stack(field, k):
 
 def orbit_labels(stack, p):
     """The least compact code of the orbit of every compact code, as an
-    int64 array indexed by compact code.
+    int32 array indexed by compact code.
 
-    Each round lowers every label to that of the code's image under each
-    generator, then jumps lab = lab[lab]; labels only fall and stay inside
-    their component, and at the fixpoint each is its component's minimum.
+    A generator's image of every code is built digit by digit: each output
+    digit's linear combination is a Kronecker sum over the input digits,
+    reduced mod p once.  Each round lowers every label to that of the
+    code's image under each generator, then jumps lab = lab[lab]; labels
+    only fall and stay inside their component, and at the fixpoint each is
+    its component's minimum.  Codes stay below the int32 limit, which every
+    caller checks first.
     """
-    width = stack.shape[1]
-    codes = np.arange(p**width, dtype=np.int64)
-    digits = digits_of_codes(codes, p, width)
-    place = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    images = [(digits @ g.T) % p @ place for g in stack]
-    lab = codes
+    digit, zero = np.arange(p, dtype=np.int32), np.zeros(1, dtype=np.int32)
+    images = []
+    for g in stack.tolist():
+        image = 0
+        for row in g:  # output digits, most significant first
+            image = image * p + reduce(lambda acc, s: (acc[:, None] + digit * s).ravel(), row, zero) % p
+        images.append(image)
+    lab = np.arange(p ** stack.shape[1], dtype=np.int32)
     while True:
         new = lab
         for image in images:
-            new = np.minimum(new, new[image])
-        new = new[new]
+            new = np.minimum(new, new.take(image))
+        new = new.take(new)  # take gathers by int32 indices faster than new[new]
         if np.array_equal(new, lab):
             return lab
         lab = new
@@ -158,8 +164,8 @@ def orbit_labels(stack, p):
 def orbit_codes(X, budget=DEFAULT_BUDGET):
     """Sorted full codes of the diagonal orbit of a symmetric tensor.
 
-    The orbit labels cover all p^(k+1) compact codes (about 8 (k + 5)
-    bytes each), so a space over the budget is refused first."""
+    The orbit labels cover all p^(k+1) compact codes (a traced peak of
+    28 bytes each), so a space over the budget is refused first."""
     p, k = X.field.p, X.order
     _refuse_oversized("symmetric code space", p ** (k + 1), budget)
     lab = orbit_labels(action_stack(X.field, k), p)

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from symcanon import (
     full_from_compact,
     group_order,
 )
+from symcanon.group_action import action_stack, orbit_labels
 from symcanon.tensor import SymTensor
 
 from conftest import ALL_PAIRS
@@ -163,12 +165,31 @@ def test_rank_not_constant_on_an_orbit_raises(monkeypatch):
     classify_mod = importlib.import_module("symcanon.classify")
     real = classify_mod.symmetric_rank_strata
 
-    def corrupt(field, k, budget):
-        s = real(field, k, budget)
-        s._rank_of = s._rank_of.copy()
-        s._rank_of[1] = 2  # c:0,0,0,1 = e2^3 has rank 1, as do the 7 others in its orbit
-        return s
+    # c:0,0,0,1 = e2^3 (code 1) has rank 1, as do the 7 others in its orbit;
+    # corrupt the canonical code, then only the non-canonical c:1,0,0,0 (27)
+    for code in (1, 27):
+        def corrupt(field, k, budget, code=code):
+            s = real(field, k, budget)
+            s._rank_of = s._rank_of.copy()
+            s._rank_of[code] = 2
+            return s
 
-    monkeypatch.setattr(classify_mod, "symmetric_rank_strata", corrupt)
-    with pytest.raises(AssertionError, match="not constant on an orbit"):
-        classify_mod.classify(FieldSpec(3), 3)
+        monkeypatch.setattr(classify_mod, "symmetric_rank_strata", corrupt)
+        with pytest.raises(AssertionError, match="not constant on an orbit"):
+            classify_mod.classify(FieldSpec(3), 3)
+
+
+def test_orbit_path_bytes():
+    # int32 images and labels peak at 28 B per compact code, 3.5 MiB over
+    # the 130 321 codes of (19,3); int64 digits and images took 112 B
+    f = FieldSpec(19)
+    stack = action_stack(f, 3)
+    peaks = []
+    for run in (lambda: orbit_labels(stack, 19), lambda: classify(f, 3)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 5 << 20 and peaks[1] < 8 << 20, [peak / 2**20 for peak in peaks]

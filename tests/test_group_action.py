@@ -22,8 +22,8 @@ from symcanon import (
     orbit,
     stabilizer_size,
 )
-from symcanon.group_action import _generators, action_stack
-from symcanon.tensor import compact_decode
+from symcanon.group_action import _generators, action_stack, orbit_labels
+from symcanon.tensor import compact_decode, compact_encode
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -272,3 +272,36 @@ def test_action_stack_is_the_compact_diagonal_action(p, k):
             c = compact_decode(code, f, k)
             image = compact_from_full(act_diagonal(g, c.full())).coeffs
             assert image == tuple(int(v) for v in S @ c.coeffs % p), (g.m, c.coeffs)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_orbit_labels_are_the_least_codes_of_the_scalar_orbits(p, k):
+    # independent oracle: every group element applied with the scalar path
+    f = FieldSpec(p)
+    lab = orbit_labels(action_stack(f, k), p)
+    assert lab.dtype == np.int32 and lab.shape == (p ** (k + 1),)
+    gs = enumerate_gl2(f)
+    for code in range(p ** (k + 1)):
+        X = compact_decode(code, f, k).full()
+        least = min(compact_encode(compact_from_full(act_diagonal(g, X))) for g in gs)
+        assert lab[code] == least, (p, k, code)
+
+
+def test_orbit_labels_jump_along_a_long_cycle(monkeypatch):
+    # multiplication by x in F_3[x]/(x^7 - x^5 - 2) cycles through all 2186
+    # nonzero codes; propagation alone lowers a label by one step of the
+    # cycle per round, pointer jumping needs about 2 log2(2186) rounds
+    p, width = 3, 7
+    S = np.zeros((width, width), dtype=np.int64)
+    S[np.arange(1, width), np.arange(width - 1)] = 1
+    S[:, -1] = (2, 0, 0, 0, 0, 1, 0)
+    rounds, real = [], np.array_equal
+
+    def array_equal(a, b):  # orbit_labels compares once per round
+        rounds.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(np, "array_equal", array_equal)
+    lab = orbit_labels(S[None], p)
+    assert lab[0] == 0 and (lab[1:] == 1).all()
+    assert 0 < len(rounds) <= 33, len(rounds)
