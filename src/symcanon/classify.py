@@ -1,13 +1,13 @@
-"""Full classification: orbits from labels, ranks from the strata.
+"""Full classification: one orbit labelling gives orbits and ranks.
 
 `orbit_labels` gives every compact code the least code of its orbit, so
 the canonical forms are the codes labelled by themselves, and a count of
-the labels (`np.bincount`) gives the orbit sizes.  Rank is invariant
-under the action, so each orbit takes the rank of its canonical form; a
-code whose rank differs from its label's means the action or the strata
-are corrupt and raises.  Tensors without a symmetric decomposition are
-processed the same way and reported separately; their orbit structure is
-an extension not covered by the published tables.
+the labels (`np.bincount`) gives the orbit sizes.  The symmetric strata
+are searched on the same labels, so each code has its label's rank; a
+code whose rank differs means the rank table was corrupted and raises.
+Tensors without a symmetric decomposition are processed the same way and
+reported separately; their orbit structure is an extension not covered
+by the published tables.
 """
 
 import time
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .group_action import action_stack, group_order, orbit_labels
-from .rank_strata import DEFAULT_BUDGET, symmetric_rank_strata
+from .group_action import DEFAULT_BUDGET, action_stack, group_order
+from .rank_strata import symmetric_rank_strata
 from .tensor import compact_weights, digits_of_codes, twos_counts
 
 
@@ -54,11 +54,10 @@ def classify(field, k, budget=DEFAULT_BUDGET):
     """Classify all symmetric tensors over F_p of order k into orbits."""
     t0 = time.perf_counter()
     p = field.p
-    strata = symmetric_rank_strata(field, k, budget)
-    lab = orbit_labels(action_stack(field, k), p)
-    rank_of = strata._rank_of
+    strata = symmetric_rank_strata(field, k, budget, action_stack(field, k))
+    lab, rank_of = strata._labels, strata._rank_of
     if (rank_of.take(lab) != rank_of).any():
-        raise AssertionError("rank is not constant on an orbit; action or strata corrupt")
+        raise AssertionError("rank is not constant on an orbit; rank table corrupt")
     counts = np.bincount(lab)
     canon = np.flatnonzero(counts)  # the labels, i.e. the codes labelled by themselves
     sizes, ranks = counts[canon], rank_of[canon]
@@ -83,7 +82,7 @@ def classify(field, k, budget=DEFAULT_BUDGET):
         order=k,
         group_order=n_group,
         stratum_counts=strata.stratum_sizes(),
-        undecomposable_count=int(strata.undecomposable.size),
+        undecomposable_count=strata.undecomposable_count,
         records=records[n_undec:],
         undecomposable_records=records[:n_undec],
         timing_seconds=time.perf_counter() - t0,

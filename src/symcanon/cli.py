@@ -166,7 +166,7 @@ def _dispatch(args):
         k = _order(args)
         strata = symmetric_rank_strata(field, k, _budget(args))
         space = field.p ** (k + 1)
-        counts = strata.stratum_sizes() + [int(strata.undecomposable.size)]
+        counts = strata.stratum_sizes() + [strata.undecomposable_count]
         print(f"p={field.p} k={k} group_order={group_order(field)} "
               f"symmetric_tensors={space}")
         print(f"max_symmetric_rank={strata.max_rank}")

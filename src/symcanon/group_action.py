@@ -18,11 +18,19 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import AsymmetricTensorError
+from .errors import AsymmetricTensorError, BudgetExceededError
 from .gfp import FieldSpec
-from .rank_strata import DEFAULT_BUDGET, _refuse_oversized
 from .tensor import (SymTensor, Tensor, compact_encode, compact_from_full, compact_weights, decode,
                      digits_of_codes, is_symmetric)
+
+DEFAULT_BUDGET = 10**8
+_MAX_CODES = 1 << 31  # orbit labels and translation tables hold int32 codes
+
+
+def _refuse_oversized(space_name, size, budget):
+    for limit, name in ((budget, "budget"), (_MAX_CODES, "int32 limit")):
+        if size > limit:
+            raise BudgetExceededError(f"{space_name} {size} exceeds the {name} of {limit} codes")
 
 
 @dataclass(frozen=True)

@@ -1,63 +1,61 @@
-"""Layered generation of rank strata: one search serves both rank notions.
+"""Rank strata, searched layer by layer on one representative per class.
 
 Stratum 0 is the zero tensor, stratum 1 the simple tensors (generators);
-an unranked code X + g with X in stratum r - 1 has rank r, and codes
-never reached have no decomposition.  Adding a generator acts digit-wise
-on the high and the low half of a code, so with tables of every half code
-translated by each distinct generator half, a push takes the frontier's
-columns once and each sum is two row gathers and one add.  Each layer of
-`_layered_search` pushes (frontier + every generator) while the frontier
-is small and pulls once it is dense (an unranked u is ranked if some
-u - g lies in the previous layer): Beamer, Asanovic and Patterson,
-"Direction-Optimizing Breadth-First Search", SC'12.
+an unranked X + g with X in stratum r - 1 has rank r, and tensors never
+reached have no decomposition.
 
-The pull needs tables of code - g.  The general simple tensors
-a1 (x) ... (x) ak are closed under negation, so one pair of tables serves
-both directions; the symmetric a^(x)k are not (-a^(x)4 is simple only
-when -1 is a fourth power), so their pull gets tables of the digit-wise
-negated generators.  Symmetric strata run on compact codes (the k+1 class
-coefficients add coefficient-wise) and store no parent links: the
-derivation of a code c of rank r is the least pred * G + gen with
-pred = c - generator gen of rank r - 1, derived on demand.  Generators are
-ordered by their least generating vector, so witnesses are reproducible.
+Symmetric rank is constant on the orbits of the diagonal GL2 action, and
+the generators a^(x)k are GL2-stable: g.a^(x)k = (ga)^(x)k.  So X = Y + b
+gives h.X = h.Y + h.b for every h, and the orbits of rank r are exactly
+the unranked orbits of Y + b over one representative Y of each orbit of
+rank r - 1 and every generator b.  `symmetric_rank_strata` runs that
+search on the orbit labels (`orbit_labels`; 6 to 52 orbits on the stored
+pairs), adding the k+1 class coefficients digit-wise, and each code takes
+the rank of its label.  No parent links are stored: the derivation of a
+code c of rank r is the least pred * G + gen with pred = c - generator
+gen of rank r - 1, derived on demand.  Generators are ordered by their
+least generating vector, so witnesses are reproducible.
 
 General strata run on full codes u1 * p^m + u2, m = 2^(k-1), whose high
 and low halves are the mode-1 slices X1 and X2, and keep only layer sizes
-and ranks.  The general rank of X is the least number of simple
-(k-1)-tensors whose span contains X1 and X2, so it depends only on
-span(X1, X2) (Ja'Ja', "Optimal evaluation of pairs of bilinear forms",
-SIAM J. Comput. 1979) and is constant on the classes of GL2 acting on
-mode 1; every layer is a union of classes, since A X + g = A (X + A^-1 g)
-and A^-1 g is simple.  The symmetric strata take the trivial group, every
-code its own class.  Both run one loop on one representative per class
-(for GL2 the reduced row echelon form, RREF, of [u1; u2]) and write each
-rank to whole classes (the closure), which any code of a class yields.
-A push closes the class of each unranked sum of a generator and a
-representative of rank r - 1, so nothing is left to close after it.  A
-pull ranks the unranked representatives with some representative - g of
-rank r - 1; every rank-r class then has its representative ranked, so
-the closure takes the smaller side: the classes just ranked or, when
-fewer stayed unranked, those (marked) while every other unranked code
-takes the rank.  At p = 3, k = 4 the layer-3 push starts from 3 792
-representatives instead of 101 376 codes and closes the classes of
-169 370 of its 1.9 M sums, the rest being ranked by the classes closed
-before them; the layer-4 pull tests 761 404 representatives instead of
-36.5 M codes and closes 11 016 classes instead of 750 388.  Besides the
-int8 rank table, the tables (of which a pull block copies up to 64 rows)
-and the int32 representatives, each temporary of a pass (the sums of a
-pull block, a closure chunk, a shift slice) holds about _PULL_CHUNK
-entries, whatever the space.  A budget caps the space (p = 7, k = 4
-with ~3.3e13 codes fails explicitly); codes are int32, so spaces beyond
-2^31 codes are refused whatever the budget.
+and ranks.  The general rank of X depends only on span(X1, X2) (Ja'Ja',
+"Optimal evaluation of pairs of bilinear forms", SIAM J. Comput. 1979),
+so it is constant on the classes of GL2 acting on mode 1; every layer is
+a union of classes, since A X + g = A (X + A^-1 g) and A^-1 g is simple.
+Adding a generator acts digit-wise on the high and the low half of a
+code, so with tables of every half code translated by each distinct
+generator half, a sum is two row gathers and one add; the simple tensors
+are closed under negation, so the same tables give code - g.  Each layer
+of `_layered_search` pushes (frontier + every generator) while the
+frontier is small and pulls once it is dense (an unranked u is ranked if
+some u - g lies in the previous layer): Beamer, Asanovic and Patterson,
+"Direction-Optimizing Breadth-First Search", SC'12.  It runs on one
+representative per class (the reduced row echelon form, RREF, of
+[u1; u2]) and writes each rank to whole classes (the closure).  A push
+closes the class of each unranked sum of a generator and a
+representative of rank r - 1.  A pull ranks the unranked representatives
+with some representative - g of rank r - 1, then closes the smaller
+side: the classes just ranked or, when fewer stayed unranked, those
+(marked) while every other unranked code takes the rank.  At p = 3,
+k = 4 the layer-4 pull tests 761 404 representatives instead of 36.5 M
+codes and closes 11 016 classes instead of 750 388.  Besides the int8
+rank table, the tables (of which a pull block copies up to 64 rows) and
+the int32 representatives, each temporary of a pass (the sums of a pull
+block, a closure chunk, a shift slice) holds about _PULL_CHUNK entries,
+whatever the space.  A budget caps the space (p = 7, k = 4 with ~3.3e13
+codes fails explicitly); codes are int32, so spaces beyond 2^31 codes
+are refused whatever the budget.
 """
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
+from itertools import product
 
 import numpy as np
 
-from .errors import AsymmetricTensorError, BudgetExceededError, UndecomposableError
+from .errors import AsymmetricTensorError, UndecomposableError
 from .gfp import FieldSpec
+from .group_action import DEFAULT_BUDGET, _refuse_oversized, action_stack, orbit_labels
 from .tensor import (
     compact_decode,
     compact_encode,
@@ -69,10 +67,6 @@ from .tensor import (
     is_symmetric,
     symmetric_outer_power,
 )
-
-DEFAULT_BUDGET = 10**8
-
-_MAX_CODES = 1 << 31  # translation tables hold int32 codes
 
 # a layer pushes iff |frontier| * G <= _PUSH_FACTOR * |unranked|; each
 # temporary of a pass or a parent lookup holds about _PULL_CHUNK entries
@@ -91,26 +85,46 @@ class Witness:
 class RankStratification:
     """Symmetric-rank layers of all p^(k+1) symmetric tensors.
 
-    strata[r] holds the full tensor codes of symmetric rank r, sorted
-    ascending; undecomposable holds the codes never reached.  Ranks and
-    generator codes are kept on compact codes internally; parent_of and
-    decompose derive the least derivation from them on demand.
+    Ranks, orbit labels and generator codes are kept on compact codes.
+    The full-code lists, strata[r] (the codes of rank r) and
+    undecomposable (those never reached), are built on first access;
+    parent_of and decompose derive the least derivation on demand.
     """
 
     field: FieldSpec
     order: int
-    strata: list                 # list of sorted int64 arrays of full codes
-    undecomposable: np.ndarray   # sorted int64 array of full codes
     generator_vectors: list      # vector per generator, BFS tie-break order
     _rank_of: np.ndarray = dataclass_field(repr=False, default=None)
     _gen_codes: np.ndarray = dataclass_field(repr=False, default=None)  # compact, per generator
+    _labels: np.ndarray = dataclass_field(repr=False, default=None)  # orbit_labels of the space
+
+    @cached_property
+    def _counts(self):  # [undecomposable, rank 0, rank 1, ...]
+        return np.bincount(self._rank_of + 1).tolist()
 
     @property
     def max_rank(self):
-        return len(self.strata) - 1
+        return len(self._counts) - 2
 
     def stratum_sizes(self):
-        return [int(s.size) for s in self.strata]
+        return self._counts[1:]
+
+    @property
+    def undecomposable_count(self):
+        return self._counts[0]
+
+    @cached_property
+    def strata(self):
+        full = self._full_codes()
+        return [full[self._rank_of == r] for r in range(self.max_rank + 1)]
+
+    @cached_property
+    def undecomposable(self):
+        return self._full_codes()[self._rank_of < 0]
+
+    def _full_codes(self):  # ascending, as compact codes are
+        weights = compact_weights(self.field.p, self.order)
+        return reduce(np.add.outer, np.arange(self.field.p) * weights[:, None]).ravel()
 
     def rank_of_compact_code(self, code):
         r = int(self._rank_of[code])
@@ -150,44 +164,32 @@ def rank_one_generators(field, k):
     """
     p = field.p
     gens = {}
-    for v1 in range(p):
-        for v2 in range(p):
-            if v1 == 0 and v2 == 0:
-                continue
-            code = 0
-            for j in range(k + 1):
-                code = code * p + pow(v1, k - j, p) * pow(v2, j, p) % p
+    for v1, v2 in product(range(p), repeat=2):
+        code = sum(pow(v1, k - j, p) * pow(v2, j, p) % p * p ** (k - j) for j in range(k + 1))
+        if code:  # v^(x)k = 0 only for v = 0
             gens.setdefault(code, (v1, v2))
-    return [(code, vec) for code, vec in gens.items()]
+    return list(gens.items())
 
 
-def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET):
-    """Layered generation of symmetric-rank strata over F_p, order k."""
+def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET, stack=None):
+    """Symmetric rank of every compact code over F_p, order k, searched on
+    the orbit labels; `stack` is action_stack(field, k) if already built."""
     p = field.p
-    N = p ** (k + 1)
-    _refuse_oversized("symmetric code space", N, budget)
+    _refuse_oversized("symmetric code space", p ** (k + 1), budget)
     gens = rank_one_generators(field, k)
     gen_codes = np.array([c for c, _ in gens], dtype=np.int64)
-    plus, minus = _tables(gen_codes, p, k + 1), _tables(gen_codes, p, k + 1, sign=-1)
-    rank_of, sizes = _layered_search(N, gen_codes, plus, minus, _single_codes())
-    # the full code of every compact code, as a Kronecker sum of digit weights
-    full = reduce(lambda acc, w: (acc[:, None] + np.arange(p) * w).ravel(),
-                  compact_weights(p, k), np.zeros(1, dtype=np.int64))
-    return RankStratification(
-        field=field,
-        order=k,
-        strata=[full[rank_of == r] for r in range(len(sizes))],
-        undecomposable=full[rank_of < 0],
-        generator_vectors=[vec for _, vec in gens],
-        _rank_of=rank_of,
-        _gen_codes=gen_codes,
-    )
-
-
-def _refuse_oversized(space_name, size, budget):
-    for limit, name in ((budget, "budget"), (_MAX_CODES, "int32 limit")):
-        if size > limit:
-            raise BudgetExceededError(f"{space_name} {size} exceeds the {name} of {limit} codes")
+    lab = orbit_labels(action_stack(field, k) if stack is None else stack, p)
+    # the rank of each orbit, at its label: layer r holds the unranked
+    # labels of every label of rank r - 1 plus every generator, digit-wise
+    place, gen_digits = p ** np.arange(k, -1, -1), digits_of_codes(gen_codes, p, k + 1)
+    rank = np.full(lab.size, -1, dtype=np.int8)
+    rank[0], reps, r = 0, np.zeros(1, dtype=np.int64), 0  # zero is its own orbit
+    while reps.size:
+        r += 1
+        hit = lab.take((digits_of_codes(reps, p, k + 1)[:, None] + gen_digits) % p @ place)
+        rank[hit[rank[hit] < 0]] = r
+        reps = np.flatnonzero(rank == r)
+    return RankStratification(field, k, [vec for _, vec in gens], rank.take(lab), gen_codes, lab)
 
 
 def _tables(gen_codes, p, width, sign=1):
@@ -339,19 +341,8 @@ def general_rank_strata(field, k, budget=DEFAULT_BUDGET):
     space = p**n
     _refuse_oversized("full code space p^(2^k) =", space, budget)
     gens = simple_tensor_codes(field, k)
-    # -a1 (x) a2 (x) ... is simple, so code - g over all g is code + g over all g
-    plus = _tables(gens, p, n)
-    rank_of, sizes = _layered_search(space, gens, plus, plus, _mode1_classes(p, n // 2))
+    rank_of, sizes = _layered_search(space, gens, _tables(gens, p, n), _mode1_classes(p, n // 2))
     return GeneralRankStratification(field=field, order=k, sizes=sizes, _rank_of=rank_of)
-
-
-def _single_codes():
-    """(select, count, largest, close) of the trivial group, as in
-    _mode1_classes: every code is its own class and representative."""
-    def close(codes, r, rank_of):
-        rank_of[codes] = r
-
-    return lambda rank_of, r: np.flatnonzero(rank_of == r), np.size, 1, close
 
 
 def _mode1_classes(p, m):
@@ -406,19 +397,19 @@ def _close(scale, add, first, second, codes, r, rank_of):
         rank_of[span[first] * H + span[second]] = r
 
 
-def _layered_search(space, gens, plus, minus, classes):
+def _layered_search(space, gens, tables, classes):
     """(rank_of, sizes): int8 rank of every code, -1 if never reached, and
-    the size of each layer.  `plus` and `minus` are the `_tables` of code
-    + g and code - g over the generator codes `gens`.
+    the size of each layer.  `tables` are the `_tables` of code + g over
+    the generator codes `gens`, which give code - g too, and `classes` is
+    (select, count, largest, close) from _mode1_classes.
 
-    `classes` is (select, count, largest, close) from _single_codes or
-    _mode1_classes.  Past the generators each layer either pushes from the
-    representatives of rank r - 1, closing classes as it goes, or pulls
-    the unranked representatives and then closes the smaller side (see
-    the module docstring): the classes just ranked or, when fewer stayed
-    unranked, those, marked -r - 2, after which every negative code shifts
-    by r + 1, in slices of _PULL_CHUNK codes, so the unmarked unranked
-    codes become r and the marked ones -1 again."""
+    Past the generators each layer either pushes from the representatives
+    of rank r - 1, closing classes as it goes, or pulls the unranked
+    representatives and then closes the smaller side (see the module
+    docstring): the classes just ranked or, when fewer stayed unranked,
+    those, marked -r - 2, after which every negative code shifts by r + 1,
+    in slices of _PULL_CHUNK codes, so the unmarked unranked codes become
+    r and the marked ones -1 again."""
     select, count, largest, close = classes
     rank_of = np.full(space, -1, dtype=np.int8)
     rank_of[0] = 0
@@ -429,10 +420,10 @@ def _layered_search(space, gens, plus, minus, classes):
     while unranked:
         r = len(sizes)
         if sizes[-1] * gens.size <= _PUSH_FACTOR * unranked:
-            _push(layer, r, *plus, rank_of, close, largest)
+            _push(layer, r, *tables, rank_of, close, largest)
             layer = select(rank_of, r)
         else:
-            _pull(select(rank_of, -1), r, *minus, rank_of)
+            _pull(select(rank_of, -1), r, *tables, rank_of)
             layer, left = select(rank_of, r), select(rank_of, -1)
             if layer.size <= left.size:
                 close(layer, r, rank_of)

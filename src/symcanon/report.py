@@ -30,11 +30,12 @@ repeated runs emit byte-identical documents.
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ._version import __version__
 from .errors import FixtureError, MissingFixtureError
+from .tensor import twos_counts
 
 SCHEMA_VERSION = "1"
 
@@ -264,18 +265,28 @@ def _fmt_record(rec):
 def diff(report, fixture):
     """Row-level comparison of a classification against a stored table.
 
-    Rows flagged by the errata sidecar are expected to disagree; each
-    sidecar entry yields one ERRATUM-SUSPECTED discrepancy carrying the
-    computed replacement rows.  Any disagreement on an unflagged row (or
-    an unaccounted orbit) is a MISMATCH, i.e. a build failure.
+    A sidecar flag suppresses the comparison of its fields only on a row
+    the printed table itself proves wrong: its orbit size does not divide
+    |GL2|, or its canonical row is not symmetric or is printed twice.  An
+    unbacked flag is compared like any row.  Each sidecar entry yields one
+    ERRATUM-SUSPECTED discrepancy carrying the computed replacement rows.
+    Any disagreement on an unflagged row (or an unaccounted orbit) is a
+    MISMATCH, i.e. a build failure.
     """
     if (report.p, report.order) != (fixture.p, fixture.order):
         raise ValueError("report and fixture parameters differ")
 
+    canonicals, twos = [row.canonical for row in fixture.rows], twos_counts(fixture.order)
+
+    def proven_wrong(row):
+        return (report.group_order % row.orbit_size or canonicals.count(row.canonical) > 1
+                or len(set(zip(twos, row.canonical))) > fixture.order + 1)
+
     flagged = {}
     for note in fixture.errata:
         for idx in note.rows:
-            flagged.setdefault(idx, set()).update(note.fields)
+            if proven_wrong(fixture.rows[idx]):
+                flagged.setdefault(idx, set()).update(note.fields)
 
     by_rank = {}
     for rec in report.records:
@@ -372,17 +383,7 @@ def build_document(report, include_timing=False, directory=None):
     """Assemble the serializable document for a classification report."""
     space = report.p ** (report.order + 1)
     try:
-        errata = [
-            {
-                "id": note.id,
-                "classification": note.classification,
-                "rows": list(note.rows),
-                "fields": list(note.fields),
-                "printed": note.printed,
-                "reason": note.reason,
-            }
-            for note in load_fixture(report.p, report.order, directory).errata
-        ]
+        errata = [asdict(note) for note in load_fixture(report.p, report.order, directory).errata]
     except MissingFixtureError:
         errata = []
     doc = {

@@ -186,10 +186,13 @@ PINNED_STRATA_SHA256 = {
 }
 
 
-# The same hash beyond the stored tables, recorded before the layer
-# expansion became table-driven.
+# The same hash beyond the stored tables: (19,3) recorded before the layer
+# expansion became table-driven, (11,4) and (13,4) from the search on single
+# codes that the search on orbit labels replaced.
 PINNED_STRATA_SHA256_BEYOND_FIXTURES = {
     (19, 3): "0a4f5296bbdf31830fd3a0e35a07f8a1b36b5d47844c6636baad587b1901d7c9",
+    (11, 4): "47c89a86d2fc870ae3ced9732c12eca5a8e70434d984d76654e6e0ac71341bcb",
+    (13, 4): "973e3663dfe9d6f547d11b0ddf759d91cd18516db10769f555845779ce6e9602",
 }
 
 
@@ -215,9 +218,10 @@ def test_parent_links_pinned(strata_for):
 
 
 def test_parent_links_pinned_beyond_fixtures(monkeypatch):
-    # the (19,3) push (|F| = 7 080) and the parent lookup of every code take
-    # more table columns than one frontier slice may hold: each slice's
-    # columns of both tables stay within 4 * _PULL_CHUNK entries
+    # the parent lookup of every code of rank >= 1 takes more table columns
+    # than one frontier slice may hold (130 320 codes x 230 table rows at
+    # (19,3), 29 slices): each slice's columns of both tables stay within
+    # 4 * _PULL_CHUNK entries
     taken, slices, real_translated = [], {}, rank_strata._translated
 
     def translated(frontier, TH, IH, TL, IL, low, rows):
@@ -228,9 +232,10 @@ def test_parent_links_pinned_beyond_fixtures(monkeypatch):
 
     monkeypatch.setattr(rank_strata, "_translated", translated)
     for (p, k), expected in PINNED_STRATA_SHA256_BEYOND_FIXTURES.items():
-        assert strata_sha256(symmetric_rank_strata(FieldSpec(p), k)) == expected, (p, k)
+        s = symmetric_rank_strata(FieldSpec(p), k)
+        assert strata_sha256(s) == expected, (p, k)
+        assert len(slices[int(np.count_nonzero(s._rank_of > 0))]) >= 2, (p, k)
     assert max(taken) <= 4 * rank_strata._PULL_CHUNK
-    assert len(slices[7080]) == 2  # 7 080 codes x 230 table rows = 1.63 M entries
 
 
 @pytest.mark.parametrize("p,k", [(3, 3), (5, 3), (2, 4), (3, 4)])
@@ -263,12 +268,12 @@ def test_parent_of_is_least_derivation(p, k):
 
 
 def test_chunk_boundaries_do_not_change_parent_links(monkeypatch):
-    # at _PULL_CHUNK = 1000, 1000 sums per push step and 250 candidates per
-    # pull chunk, some layer spans many push steps, some pull many chunks,
-    # and some parent lookup many blocks
+    # at _PULL_CHUNK = 1000 some parent lookup spans many blocks; the search
+    # on orbit labels takes no table, and pushes and pulls over many steps
+    # and chunks are the small-chunks case of
+    # test_general_search_directions_and_chunks
     monkeypatch.setattr(rank_strata, "_PULL_CHUNK", 1000)
-    chunks, pulled = [], []
-    real_translated, real_pull = rank_strata._translated, rank_strata._pull
+    chunks, real_translated = [], rank_strata._translated
 
     def translated(*args):
         chunks.append(0)
@@ -276,21 +281,15 @@ def test_chunk_boundaries_do_not_change_parent_links(monkeypatch):
             chunks[-1] += 1
             yield chunk
 
-    def pull(candidates, *args):
-        pulled.append(candidates.size)
-        real_pull(candidates, *args)
-
     monkeypatch.setattr(rank_strata, "_translated", translated)
-    monkeypatch.setattr(rank_strata, "_pull", pull)
-    split_push = split_parents = False
+    split_parents = False
     for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
         chunks.clear()
         s = symmetric_rank_strata(FieldSpec(p), k)
-        pushed = len(chunks)
+        assert chunks == [], (p, k)
         assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k)
-        split_push |= max(chunks[:pushed], default=0) > 1
-        split_parents |= max(chunks[pushed:]) > 1
-    assert split_push and split_parents and max(pulled) > 1000 // 4
+        split_parents |= max(chunks) > 1
+    assert split_parents
 
 
 def test_rank_one_generator_counts():
@@ -608,14 +607,12 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
 
     monkeypatch.setattr(rank_strata, "_shift", shift)
     all_pull, all_push = settings.get("_PUSH_FACTOR") == 0, settings.get("_PUSH_FACTOR") == 10**18
-    # one loop serves both rank notions, so each setting checks both pins;
-    # the symmetric strata run it on single codes, never on mode-1 classes
+    # the symmetric strata never enter the loop; their pins under each
+    # setting stress the chunks of the parent lookups
     for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
         s = symmetric_rank_strata(FieldSpec(p), k)
         assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k, settings)
-    names = [name for name, _ in calls]
-    assert "_close" not in names
-    assert ("_push" in names) != all_pull and ("_pull" in names) != all_push
+    assert calls == [] and shifts == []
     split_pull = split_close = split_push = split_shift = smaller_side = False
     for p, k in [(2, 3), (3, 3), (5, 3), (2, 4)]:
         calls.clear()

@@ -96,6 +96,22 @@ def test_diff_catches_planted_mismatch(classification_for, tmp_path):
     assert ds[0].printed == "81" and ds[0].computed == "240"
 
 
+def test_unbacked_sidecar_entry_does_not_hide_a_mismatch(tmp_path, capsys, monkeypatch):
+    # row 4 of the p=13 table has a sidecar entry on its size, but a wrong
+    # size that divides |GL2| = 26208 on a symmetric, unrepeated row is not
+    # proven by the printed table, so it is compared and still reported
+    for suffix in ("table", "errata"):
+        shutil.copy(fixtures_dir() / f"k3_p13.{suffix}", tmp_path)
+    table, row = tmp_path / "k3_p13.table", "\n2,1456,0 1 1 0 1 0 0 3\n"
+    assert row in table.read_text()
+    table.write_text(table.read_text().replace(row, "\n2,2912,0 1 1 0 1 0 0 3\n"))
+    monkeypatch.setenv("SYMCANON_FIXTURES", str(tmp_path))
+    assert main(["verify-paper", "--p", "13", "--order", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH p=13 k=3 rank=2 orbit_size: printed 2912; computed 1456." in out
+    assert out.count("ERRATUM-SUSPECTED [F13K3-SIZE-PRINT]") == 1
+
+
 def test_verify_against_paper_entrypoint(classification_for):
     assert verify_against_paper(classification_for(3, 3)) == []
     ds = verify_against_paper(classification_for(13, 3))
