@@ -33,18 +33,21 @@ some u - g lies in the previous layer): Beamer, Asanovic and Patterson,
 representative per class (the reduced row echelon form, RREF, of
 [u1; u2]) and writes each rank to whole classes (the closure).  A push
 closes the class of each unranked sum of a generator and a
-representative of rank r - 1.  A pull ranks the unranked representatives
-with some representative - g of rank r - 1, then closes the smaller
-side: the classes just ranked or, when fewer stayed unranked, those
-(marked) while every other unranked code takes the rank.  At p = 3,
-k = 4 the layer-4 pull tests 761 404 representatives instead of 36.5 M
-codes and closes 11 016 classes instead of 750 388.  Besides the int8
-rank table, the tables (of which a pull block copies up to 64 rows) and
-the int32 representatives, each temporary of a pass (the sums of a pull
-block, a closure chunk, a shift slice) holds about _PULL_CHUNK entries,
-whatever the space.  A budget caps the space (p = 7, k = 4 with ~3.3e13
-codes fails explicitly); codes are int32, so spaces beyond 2^31 codes
-are refused whatever the budget.
+representative of rank r - 1; a representative (u1, 0) is fixed by
+S = {[[1, b], [0, d]]} on mode 1, so its sums with g and with A g, A in S,
+share a class, and it takes one generator per S-orbit: p (p + 1)^(k-1) of
+the (p - 1)(p + 1)^k simple tensors (448 of 3 072 at p = 7, k = 3).  A
+pull ranks the unranked representatives with some representative - g of
+rank r - 1, then closes the smaller side: the classes just ranked or,
+when fewer stayed unranked, those (marked) while every other unranked
+code takes the rank.  At p = 3, k = 4 the layer-4 pull tests 761 404
+representatives instead of 36.5 M codes and closes 11 016 classes
+instead of 750 388.  Besides the int8 rank table, the tables (of which a
+pull block copies up to 64 rows) and the int32 representatives, each
+temporary of a pass (the sums of a pull block, a closure chunk, a shift
+slice) holds about _PULL_CHUNK entries, whatever the space.  A budget
+caps the space (p = 7, k = 4 with ~3.3e13 codes fails explicitly); codes
+are int32, so spaces beyond 2^31 codes are refused whatever the budget.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -346,16 +349,19 @@ def general_rank_strata(field, k, budget=DEFAULT_BUDGET):
 
 
 def _mode1_classes(p, m):
-    """(select, count, largest, close) of the classes of GL2 acting on
-    mode 1, for full codes u1 * p^m + u2 with slices u1, u2 of m digits.
+    """(select, count, largest, close, transversal) of the mode-1 classes
+    of GL2, for full codes u1 * p^m + u2 with slices u1, u2 of m digits.
 
     The representatives are the nonzero codes with [u1; u2] in reduced row
     echelon form (pivot: leading nonzero digit; monic: pivot digit 1): u1
     monic and u2 = 0, or u1 and u2 monic, the pivot of u2 right of that of
     u1 and u1 zero there.  select(rank_of, r) gives the int32
     representatives of rank r, count(reps) the number of codes in their
-    classes (p^2 - 1 for u2 = 0, |GL2| otherwise), largest is |GL2|, and
-    close(codes, r, rank_of) writes r to the classes of any codes.
+    classes (p^2 - 1 for u2 = 0, |GL2| otherwise), largest is |GL2|,
+    close(codes, r, rank_of) writes r to the classes of any codes, and
+    transversal(gens) the positions in gens of R, one simple tensor per
+    orbit of S = {[[1, b], [0, d]]}, the stabilizer of the representatives
+    (u1, 0): the codes with u2 = 0, or with u1 = 0 and u2 monic.
     """
     H = p**m
     digits = digits_of_codes(np.arange(H), p, m)
@@ -376,7 +382,8 @@ def _mode1_classes(p, m):
             lambda codes: (codes.size * (p * p - 1)
                            + int(np.count_nonzero(codes % H)) * (first.size - p * p + 1)),
             first.size,
-            partial(_close, scale, add, first, second))
+            partial(_close, scale, add, first, second),
+            lambda gens: np.flatnonzero((gens % H == 0) | ((gens < H) & monic[gens % H])))
 
 
 def _close(scale, add, first, second, codes, r, rank_of):
@@ -401,16 +408,18 @@ def _layered_search(space, gens, tables, classes):
     """(rank_of, sizes): int8 rank of every code, -1 if never reached, and
     the size of each layer.  `tables` are the `_tables` of code + g over
     the generator codes `gens`, which give code - g too, and `classes` is
-    (select, count, largest, close) from _mode1_classes.
+    (select, count, largest, close, transversal) from _mode1_classes.
 
     Past the generators each layer either pushes from the representatives
-    of rank r - 1, closing classes as it goes, or pulls the unranked
-    representatives and then closes the smaller side (see the module
-    docstring): the classes just ranked or, when fewer stayed unranked,
-    those, marked -r - 2, after which every negative code shifts by r + 1,
-    in slices of _PULL_CHUNK codes, so the unmarked unranked codes become
-    r and the marked ones -1 again."""
-    select, count, largest, close = classes
+    of rank r - 1, closing classes as it goes (those with u2 = 0 take only
+    transversal(gens), one generator per orbit of their stabilizer), or
+    pulls the unranked representatives and then closes the smaller side
+    (see the module docstring): the classes just ranked or, when fewer
+    stayed unranked, those, marked -r - 2, after which every negative code
+    shifts by r + 1, in slices of _PULL_CHUNK codes, so the unmarked
+    unranked codes become r and the marked ones -1 again."""
+    select, count, largest, close, transversal = classes
+    one_per_orbit = transversal(gens)
     rank_of = np.full(space, -1, dtype=np.int8)
     rank_of[0] = 0
     rank_of[gens] = 1
@@ -420,7 +429,7 @@ def _layered_search(space, gens, tables, classes):
     while unranked:
         r = len(sizes)
         if sizes[-1] * gens.size <= _PUSH_FACTOR * unranked:
-            _push(layer, r, *tables, rank_of, close, largest)
+            _push(layer, r, *tables, rank_of, close, largest, one_per_orbit)
             layer = select(rank_of, r)
         else:
             _pull(select(rank_of, -1), r, *tables, rank_of)
@@ -445,14 +454,22 @@ def _shift(part, by):
     part += shift
 
 
-def _push(frontier, r, TH, IH, TL, IL, low, rank_of, close, largest):
+def _push(frontier, r, TH, IH, TL, IL, low, rank_of, close, largest, one_per_orbit):
     """Ranks r the class of each unranked frontier code plus a generator.
 
-    Sums come in steps of about _PULL_CHUNK // largest (the largest class
-    size), each re-filtered, so that a class closed by one step is skipped
-    by the next; a class hit twice within one step is closed twice."""
-    for *_, codes in _translated(frontier, TH, IH, TL, IL, low, _PULL_CHUNK // largest):
-        close(codes[rank_of[codes] < 0], r, rank_of)
+    Codes with u2 != 0 take every generator, then those with u2 = 0, fixed
+    by S, take only the generators at `one_per_orbit`, one per S-orbit (see
+    the module docstring; the other order closes 217 186 codes, not
+    155 965, at p = 3, k = 4).  This needs the generator set closed under
+    the mode-1 action, as the simple tensors are.  Sums come in steps of
+    about _PULL_CHUNK // largest (the largest class size), each
+    re-filtered, so that a class closed by one step is skipped by the next;
+    a class hit twice within one step is closed twice."""
+    u2_zero = frontier % low == 0
+    for part, ih, il in ((frontier[~u2_zero], IH, IL),
+                         (frontier[u2_zero], IH[one_per_orbit], IL[one_per_orbit])):
+        for *_, codes in _translated(part, TH, ih, TL, il, low, _PULL_CHUNK // largest):
+            close(codes[rank_of[codes] < 0], r, rank_of)
 
 
 def _pull(candidates, r, TH, IH, TL, IL, low, rank_of):

@@ -271,10 +271,10 @@ def parse_literal(text, field, order=None):
     if compact:
         text = text[2:]
     parts = text.replace(",", " ").split()
-    try:
-        digits = [int(s) for s in parts]
-    except ValueError as exc:
-        raise ValueError(f"bad tensor literal digit: {exc}") from None
+    for s in parts:  # int() would also take '1_0', '+1' and non-ASCII digits
+        if not (s.isascii() and s.isdigit()):
+            raise ValueError(f"bad tensor literal digit: {s!r}")
+    digits = [int(s) for s in parts]
     for d in digits:
         field.check(d)
     if compact:

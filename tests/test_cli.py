@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from symcanon.cli import main
 
 
@@ -66,6 +68,14 @@ def test_rank_rejects_asymmetric_literal(capsys):
 def test_rank_rejects_bad_literal(capsys):
     code, _, _ = run(capsys, "rank", "--p", "2", "--tensor", "0,1,2")
     assert code == 2
+
+
+@pytest.mark.parametrize("literal", ["c:1_0,1,1,1", "c:\u0663,1,+1,1", "c:\uff13,1,+1,1"])
+def test_rank_rejects_non_ascii_decimal_digits(capsys, literal):
+    # int() would read 10, 3 and 1 here and answer with exit 0
+    code, out, err = run(capsys, "rank", "--p", "11", "--tensor", literal)
+    assert code == 2 and out == ""
+    assert "bad tensor literal digit" in err and "Traceback" not in err
 
 
 def test_canon_of_zero(capsys):

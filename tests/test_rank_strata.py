@@ -743,6 +743,70 @@ def test_mode1_closure_bytes_stay_within_one_chunk():
     assert peak < 4 << 20, peak / 2**20
 
 
+def in_R(gen_codes, p, k):
+    """Whether each simple tensor code lies in R: u2 = 0, or u1 = 0 and the
+    leading nonzero digit of u2 is 1."""
+    def monic(u):
+        while u >= p:
+            u //= p
+        return u == 1
+
+    halves = (divmod(int(g), p ** (1 << (k - 1))) for g in gen_codes)
+    return [u2 == 0 or (u1 == 0 and monic(u2)) for u1, u2 in halves]
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 3), (5, 3), (2, 4), (3, 4)])
+def test_push_generators_are_one_per_stabilizer_orbit(p, k):
+    # S = {[[1, b], [0, d]]} fixes every (u1, 0) on mode 1; the generators a
+    # u2 = 0 representative takes hold exactly one simple tensor of each
+    # S-orbit, by brute force over S with act, and the orbits stay simple
+    gens = rank_strata.simple_tensor_codes(FieldSpec(p), k)
+    R = rank_strata._mode1_classes(p, 1 << (k - 1))[4](gens)
+    assert R.tolist() == np.flatnonzero(in_R(gens, p, k)).tolist()
+    assert R.size == p * (p + 1) ** (k - 1)
+    members, simple = set(gens[R].tolist()), set(gens.tolist())
+    S = [g for g in gl2(p) if g.m[0][0] == 1 and g.m[1][0] == 0]
+    assert len(S) == p * (p - 1)
+    for g in gens.tolist():
+        orbit = {encode(act(A, decode(g, FieldSpec(p), k), 1)) for A in S}
+        assert orbit <= simple and len(orbit & members) == 1, g
+
+
+@pytest.mark.parametrize("push_factor", [None, 10**18], ids=["default", "all-push"])
+def test_push_sends_u2_zero_representatives_through_R_last(monkeypatch, push_factor):
+    # each push translates its representatives in two passes: those with
+    # u2 != 0 by every generator, then those with u2 = 0 by R only; the
+    # generators of a pass are read back from column 0 of its tables
+    if push_factor is not None:
+        monkeypatch.setattr(rank_strata, "_PUSH_FACTOR", push_factor)
+    pushes, real_push, real_translated = [], rank_strata._push, rank_strata._translated
+
+    def push(*args):
+        pushes.append((args[0], []))
+        return real_push(*args)
+
+    def translated(frontier, TH, IH, TL, IL, low, rows):
+        if pushes:
+            pushes[-1][1].append((frontier, (TH[IH, 0] + TL[IL, 0]).tolist(), low))
+        return real_translated(frontier, TH, IH, TL, IL, low, rows)
+
+    monkeypatch.setattr(rank_strata, "_push", push)
+    monkeypatch.setattr(rank_strata, "_translated", translated)
+    for p, k in [(2, 3), (3, 3), (5, 3), (2, 4)]:
+        pushes.clear()
+        g = general_rank_strata(FieldSpec(p), k)
+        assert general_sha256(g) == PINNED_GENERAL_SHA256[(p, k)], (p, k)
+        gens = rank_strata.simple_tensor_codes(FieldSpec(p), k)
+        R = [c for c, keep in zip(gens.tolist(), in_R(gens, p, k)) if keep]
+        assert pushes and (not push_factor or len(pushes) == len(g.sizes) - 2), (p, k)
+        for frontier, passes in pushes:
+            assert [gen for _, gen, _ in passes] == [gens.tolist(), R], (p, k)
+            (others, _, low), (fixed, _, _) = passes
+            assert (others % low != 0).all() and (fixed % low == 0).all(), (p, k)
+            assert sorted(others.tolist() + fixed.tolist()) == sorted(frontier.tolist()), (p, k)
+        assert pushes[0][1][1][0].size > 0, (p, k)  # the generators (u1, 0) start layer 2
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_general_rank_k3_matches_closed_form(general_for, p):
     H = p**4

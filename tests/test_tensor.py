@@ -256,6 +256,16 @@ def test_parse_rejects_bad_literals():
         parse_literal("0,0,0,0,0,0,0,1", F2, order=4)
 
 
+@pytest.mark.parametrize("bad", ["1_0", "+1", "-0", "\u0663", "\uff13", "\u00b2", "1.0", "0x1"])
+def test_parse_accepts_only_ascii_decimal_digits(bad):
+    # int() reads each of these as a number; a literal digit is [0-9]+ only
+    F11 = FieldSpec(11)
+    assert parse_literal("c:0,1,1,1", F11) == parse_literal("c:00,1,01,1", F11)
+    for text in (f"c:{bad},1,1,1", f"c:1,{bad},1,1", ",".join([bad] + ["0"] * 7)):
+        with pytest.raises(ValueError, match="bad tensor literal digit"):
+            parse_literal(text, F11)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 4), st.lists(st.integers(0, 6), min_size=8, max_size=8))
 def test_literal_round_trip(which, digits):
