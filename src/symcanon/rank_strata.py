@@ -143,7 +143,7 @@ class RankStratification:
             return None
         if self._rank_of[code] < 0:
             raise UndecomposableError("tensor has no symmetric decomposition")
-        pred, gen = _parents(self, np.array([code]), _minus_tables(self))
+        pred, gen = _parents(self, np.array([code]))
         pred = compact_decode(int(pred[0]), self.field, self.order).full()
         return pred, self.generator_vectors[int(gen[0])]
 
@@ -195,26 +195,21 @@ def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET, stack=None):
     return RankStratification(field, k, [vec for _, vec in gens], rank.take(lab), gen_codes, lab)
 
 
-def _tables(gen_codes, p, width, sign=1):
-    """(TH, IH, TL, IL, low) with code + sign * g == TH[IH[g], code // low]
+def _tables(gen_codes, p, width):
+    """(TH, IH, TL, IL, low) with code + g == TH[IH[g], code // low]
     + TL[IL[g], code % low] digit-wise, one table row per distinct half; TL
     is uint16, its entries below low < 46 341 for any space under 2^31."""
     low = p ** (width // 2)
     (high, ih), (rest, il) = (np.unique(half, return_inverse=True) for half in divmod(gen_codes, low))
-    return (_translations(high, p, width - width // 2, sign, low), ih,
-            _translations(rest, p, width // 2, sign).astype(np.uint16), il, low)
+    return (_translations(high, p, width - width // 2, low), ih,
+            _translations(rest, p, width // 2).astype(np.uint16), il, low)
 
 
-def _minus_tables(s):
-    """Tables of compact code - generator for a symmetric stratification."""
-    return _tables(s._gen_codes, s.field.p, s.order + 1, sign=-1)
-
-
-def _translations(gen_parts, p, width, sign, scale=1):
-    """(len(gen_parts), p^width) int32 table: scale * (every code plus
-    sign * each part, digit-wise), built as a Kronecker sum one digit at a
-    time, least significant first."""
-    digits = sign * digits_of_codes(gen_parts, p, width)
+def _translations(gen_parts, p, width, scale=1):
+    """(len(gen_parts), p^width) int32 table: scale * (every code plus each
+    part, digit-wise), built as a Kronecker sum one digit at a time, least
+    significant first."""
+    digits = digits_of_codes(gen_parts, p, width)
     T = np.zeros((len(gen_parts), 1), dtype=np.int32)
     for j in range(width - 1, -1, -1):
         top = ((np.arange(p) + digits[:, j, None]) % p * (scale * p ** (width - 1 - j))).astype(np.int32)
@@ -223,33 +218,40 @@ def _translations(gen_parts, p, width, sign, scale=1):
 
 
 def _translated(frontier, TH, IH, TL, IL, low, rows):
-    """Yields (cols, g, frontier[cols] + generators g, g+1, ...) in chunks of
-    about `rows` sums; each slice cols takes its columns of both tables once
-    (at most 4 * _PULL_CHUNK entries), so a block is two row gathers and an add."""
+    """Yields frontier + every generator in blocks of about `rows` sums, a
+    slice of the frontier plus a run of generators, slice by slice; each
+    slice takes its columns of both tables once (at most 4 * _PULL_CHUNK
+    entries), so a block is two row gathers and an add."""
     step = max(1, 4 * _PULL_CHUNK // (TH.shape[0] + TL.shape[0]))
     for start in range(0, frontier.size, step):
-        cols = slice(start, start + step)
-        f = frontier[cols]
+        f = frontier[start : start + step]
         hi, lo = np.take(TH, f // low, axis=1), np.take(TL, f % low, axis=1)
         block = max(1, rows // hi.shape[1])
         for g in range(0, IH.size, block):
-            yield cols, g, hi[IH[g : g + block]] + lo[IL[g : g + block]]
+            yield hi[IH[g : g + block]] + lo[IL[g : g + block]]
 
 
-def _parents(s, codes, minus):
+def _parents(s, codes):
     """Least derivation (pred, gen) of each code of rank >= 1, as arrays.
 
-    pred = code - generator gen (digit-wise, from the tables `minus`) has
-    rank one lower, and pred * G + gen is least among all such pairs.
+    pred = code - generator gen has rank one lower, and pred * G + gen is
+    least among all such pairs.  pred is summed digit by digit in int32:
+    minus[j, a, g] is (a - digit j of g) at place j.  Codes come in chunks
+    of _PULL_CHUNK // G, so a chunk holds at most _PULL_CHUNK pairs.
     """
-    G = s._gen_codes.size
-    r = s._rank_of[codes]
+    p, width, G = s.field.p, s.order + 1, s._gen_codes.size
+    gen_digits = digits_of_codes(s._gen_codes, p, width).T[:, None]
+    place = p ** np.arange(width - 1, -1, -1)[:, None, None]
+    minus = ((np.arange(p)[:, None] - gen_digits) % p * place).astype(np.int32)
     sentinel = np.iinfo(np.int64).max
-    best = np.full(codes.size, sentinel, dtype=np.int64)
-    for cols, g, preds in _translated(codes, *minus, _PULL_CHUNK):
-        keys = preds * np.int64(G) + np.arange(g, g + preds.shape[0])[:, None]
-        keys[s._rank_of[preds] != r[cols] - 1] = sentinel
-        best[cols] = np.minimum(best[cols], keys.min(axis=0))
+    best = np.empty(codes.size, dtype=np.int64)
+    chunk = max(1, _PULL_CHUNK // G)
+    for start in range(0, codes.size, chunk):
+        c = codes[start : start + chunk]
+        preds = sum(m[d] for m, d in zip(minus, digits_of_codes(c, p, width).T))
+        keys = preds * np.int64(G) + np.arange(G)
+        keys[s._rank_of[preds] != s._rank_of[c][:, None] - 1] = sentinel
+        best[start : start + chunk] = keys.min(axis=1)
     if (best == sentinel).any():
         raise AssertionError("no predecessor one rank lower; rank table corrupt")
     return best // G, best % G
@@ -271,10 +273,9 @@ def decompose(X, s):
     if r is None:
         raise UndecomposableError("tensor has no symmetric decomposition")
     p = s.field.p
-    minus = _minus_tables(s)
     vectors = []
     for _ in range(r):
-        pred, gen = _parents(s, np.array([code]), minus)
+        pred, gen = _parents(s, np.array([code]))
         vectors.append(s.generator_vectors[int(gen[0])])
         code = int(pred[0])
     vectors.reverse()
@@ -375,7 +376,7 @@ def _mode1_classes(p, m):
     place = p ** np.arange(m - 1, -1, -1)
     scale = np.stack([(a * digits % p) @ place for a in range(p)]).astype(np.int32)
     w = (m + 1) // 2
-    add = _translations(np.arange(p**w), p, w, 1)  # digit-wise sums of quarter codes
+    add = _translations(np.arange(p**w), p, w)  # digit-wise sums of quarter codes
     a, b = np.divmod(np.arange(p * p), p)
     first, second = np.nonzero((a[:, None] * b - b[:, None] * a) % p)  # rows of A in GL2
     return (lambda rank_of, r: reps[rank_of[reps] == r],
@@ -468,7 +469,7 @@ def _push(frontier, r, TH, IH, TL, IL, low, rank_of, close, largest, one_per_orb
     u2_zero = frontier % low == 0
     for part, ih, il in ((frontier[~u2_zero], IH, IL),
                          (frontier[u2_zero], IH[one_per_orbit], IL[one_per_orbit])):
-        for *_, codes in _translated(part, TH, ih, TL, il, low, _PULL_CHUNK // largest):
+        for codes in _translated(part, TH, ih, TL, il, low, _PULL_CHUNK // largest):
             close(codes[rank_of[codes] < 0], r, rank_of)
 
 

@@ -265,13 +265,17 @@ def _fmt_record(rec):
 def diff(report, fixture):
     """Row-level comparison of a classification against a stored table.
 
-    A sidecar flag suppresses the comparison of its fields only on a row
-    the printed table itself proves wrong: its orbit size does not divide
-    |GL2|, or its canonical row is not symmetric or is printed twice.  An
-    unbacked flag is compared like any row.  Each sidecar entry yields one
-    ERRATUM-SUSPECTED discrepancy carrying the computed replacement rows.
-    Any disagreement on an unflagged row (or an unaccounted orbit) is a
-    MISMATCH, i.e. a build failure.
+    A canonical form names exactly one orbit, so rows pair with computed
+    orbits by (rank, canonical form), each orbit at most once.  Rows whose
+    canonical column is flagged pair afterwards with the first unpaired
+    orbit of their rank and size or, when the size is flagged too, of their
+    rank alone.  A sidecar flag suppresses the comparison of its fields
+    only on a row the printed table itself proves wrong: its orbit size
+    does not divide |GL2|, or its canonical row is not symmetric or is
+    printed twice.  An unbacked flag is compared like any row.  Each
+    sidecar entry yields one ERRATUM-SUSPECTED discrepancy carrying the
+    computed replacement rows.  Any disagreement on an unflagged row (or an
+    unpaired orbit) is a MISMATCH, i.e. a build failure.
     """
     if (report.p, report.order) != (fixture.p, fixture.order):
         raise ValueError("report and fixture parameters differ")
@@ -288,13 +292,9 @@ def diff(report, fixture):
             if proven_wrong(fixture.rows[idx]):
                 flagged.setdefault(idx, set()).update(note.fields)
 
-    by_rank = {}
-    for rec in report.records:
-        by_rank.setdefault(rec.rank, []).append(rec)
-
     mismatches = []
-    matched = {}   # fixture row index -> record
-    taken = set()  # id() of records already paired
+    matched = {}  # fixture row index -> record, or None
+    left = {(rec.rank, rec.canonical): rec for rec in report.records}  # unpaired
 
     def mismatch(rank, field, printed, computed, note):
         mismatches.append(
@@ -302,51 +302,38 @@ def diff(report, fixture):
                         printed, computed, note)
         )
 
-    # rows with a trusted canonical column pair up by canonical form
-    deferred = []
+    # rows with a trusted canonical column pair up by (rank, canonical form)
     for row in fixture.rows:
         fields = flagged.get(row.index, set())
         if "canonical" in fields:
-            deferred.append(row)
             continue
-        rec = next(
-            (r for r in by_rank.get(row.rank, [])
-             if r.canonical == row.canonical and id(r) not in taken),
-            None,
-        )
+        rec = matched[row.index] = left.pop((row.rank, row.canonical), None)
         if rec is None:
             mismatch(row.rank, "canonical", _fmt_digits(row.canonical),
                      "no such orbit", "table row has no computed counterpart")
-            continue
-        taken.add(id(rec))
-        matched[row.index] = rec
-        if rec.orbit_size != row.orbit_size and "orbit_size" not in fields:
+        elif rec.orbit_size != row.orbit_size and "orbit_size" not in fields:
             mismatch(row.rank, "orbit_size", str(row.orbit_size),
                      str(rec.orbit_size),
                      f"canonical {_fmt_digits(row.canonical)}")
 
     # rows whose canonical column is flagged pair up by size, else by position
-    for row in deferred:
-        pool = [r for r in by_rank.get(row.rank, []) if id(r) not in taken]
-        fields = flagged[row.index]
-        if "orbit_size" in fields:
-            rec = pool[0] if pool else None
-        else:
-            rec = next((r for r in pool if r.orbit_size == row.orbit_size), None)
-            if rec is None:
-                mismatch(row.rank, "orbit_size", str(row.orbit_size),
-                         "no orbit of this size",
-                         "flagged canonical, but the size matches no computed orbit")
-        if rec is not None:
-            taken.add(id(rec))
-            matched[row.index] = rec
+    for row in fixture.rows:
+        fields = flagged.get(row.index, set())
+        if "canonical" not in fields:
+            continue
+        key = next((key for key, rec in left.items() if rec.rank == row.rank
+                    and ("orbit_size" in fields or rec.orbit_size == row.orbit_size)), None)
+        if key is not None:
+            matched[row.index] = left.pop(key)
+        elif "orbit_size" not in fields:
+            mismatch(row.rank, "orbit_size", str(row.orbit_size),
+                     "no orbit of this size",
+                     "flagged canonical, but the size matches no computed orbit")
 
     # computed orbits never claimed by any table row
-    for rank in sorted(by_rank):
-        for rec in by_rank[rank]:
-            if id(rec) not in taken:
-                mismatch(rank, "row", "absent", _fmt_record(rec),
-                         "computed orbit missing from the table")
+    for rec in sorted(left.values(), key=lambda rec: rec.rank):
+        mismatch(rec.rank, "row", "absent", _fmt_record(rec),
+                 "computed orbit missing from the table")
 
     # one discrepancy per sidecar entry, carrying the computed replacements
     errata = []

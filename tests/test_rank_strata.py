@@ -200,7 +200,7 @@ def parent_arrays(s):
     pred = np.full(s._rank_of.size, -1, dtype=np.int64)
     gen = np.full(s._rank_of.size, -1, dtype=np.int32)
     codes = np.flatnonzero(s._rank_of > 0)
-    pred[codes], gen[codes] = rank_strata._parents(s, codes, rank_strata._minus_tables(s))
+    pred[codes], gen[codes] = rank_strata._parents(s, codes)
     return pred, gen
 
 
@@ -217,25 +217,31 @@ def test_parent_links_pinned(strata_for):
         assert strata_sha256(strata_for(p, k)) == expected, (p, k)
 
 
+def parent_chunks(monkeypatch, s):
+    """Hashes s as strata_sha256 does; returns the sizes of the chunks of
+    codes whose digits _parents read, those of the generators aside."""
+    chunks, real_digits = [], rank_strata.digits_of_codes
+
+    def digits_of_codes(codes, p, width):
+        if codes is not s._gen_codes:
+            chunks.append(codes.size)
+        return real_digits(codes, p, width)
+
+    with monkeypatch.context() as m:
+        m.setattr(rank_strata, "digits_of_codes", digits_of_codes)
+        return strata_sha256(s), chunks
+
+
 def test_parent_links_pinned_beyond_fixtures(monkeypatch):
-    # the parent lookup of every code of rank >= 1 takes more table columns
-    # than one frontier slice may hold (130 320 codes x 230 table rows at
-    # (19,3), 29 slices): each slice's columns of both tables stay within
-    # 4 * _PULL_CHUNK entries
-    taken, slices, real_translated = [], {}, rank_strata._translated
-
-    def translated(frontier, TH, IH, TL, IL, low, rows):
-        for cols, g, sums in real_translated(frontier, TH, IH, TL, IL, low, rows):
-            taken.append((TH.shape[0] + TL.shape[0]) * sums.shape[1])
-            slices.setdefault(frontier.size, set()).add(cols.start)
-            yield cols, g, sums
-
-    monkeypatch.setattr(rank_strata, "_translated", translated)
+    # the parent lookup of every code of rank >= 1 holds more (code,
+    # generator) pairs than one chunk may (130 320 codes x 120 generators at
+    # (19,3)): each chunk stays within _PULL_CHUNK pairs
     for (p, k), expected in PINNED_STRATA_SHA256_BEYOND_FIXTURES.items():
         s = symmetric_rank_strata(FieldSpec(p), k)
-        assert strata_sha256(s) == expected, (p, k)
-        assert len(slices[int(np.count_nonzero(s._rank_of > 0))]) >= 2, (p, k)
-    assert max(taken) <= 4 * rank_strata._PULL_CHUNK
+        digest, chunks = parent_chunks(monkeypatch, s)
+        assert digest == expected, (p, k)
+        assert len(chunks) >= 2, (p, k)
+        assert max(chunks) * s._gen_codes.size <= rank_strata._PULL_CHUNK, (p, k)
 
 
 @pytest.mark.parametrize("p,k", [(3, 3), (5, 3), (2, 4), (3, 4)])
@@ -268,28 +274,15 @@ def test_parent_of_is_least_derivation(p, k):
 
 
 def test_chunk_boundaries_do_not_change_parent_links(monkeypatch):
-    # at _PULL_CHUNK = 1000 some parent lookup spans many blocks; the search
-    # on orbit labels takes no table, and pushes and pulls over many steps
-    # and chunks are the small-chunks case of
-    # test_general_search_directions_and_chunks
+    # at _PULL_CHUNK = 1000 the parent lookup spans many chunks of at most
+    # 1000 pairs; pushes and pulls over many steps and chunks are the
+    # small-chunks case of test_general_search_directions_and_chunks
     monkeypatch.setattr(rank_strata, "_PULL_CHUNK", 1000)
-    chunks, real_translated = [], rank_strata._translated
-
-    def translated(*args):
-        chunks.append(0)
-        for chunk in real_translated(*args):
-            chunks[-1] += 1
-            yield chunk
-
-    monkeypatch.setattr(rank_strata, "_translated", translated)
-    split_parents = False
     for p, k in [(7, 3), (11, 3), (13, 3), (5, 4), (7, 4)]:
-        chunks.clear()
         s = symmetric_rank_strata(FieldSpec(p), k)
-        assert chunks == [], (p, k)
-        assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k)
-        split_parents |= max(chunks) > 1
-    assert split_parents
+        digest, chunks = parent_chunks(monkeypatch, s)
+        assert digest == PINNED_STRATA_SHA256[(p, k)], (p, k)
+        assert len(chunks) > 1 and max(chunks) * s._gen_codes.size <= 1000, (p, k)
 
 
 def test_rank_one_generator_counts():
@@ -299,49 +292,40 @@ def test_rank_one_generator_counts():
     assert len(rank_one_generators(FieldSpec(7), 4)) == 24
 
 
-@pytest.mark.parametrize("kind, p, k", [("general", 3, 3), ("general", 2, 4),
-                                         ("symmetric", 5, 3), ("symmetric", 3, 4)])
-def test_translation_tables_over_distinct_halves(kind, p, k):
-    # the tables keep one row per distinct generator half; gathered through
-    # the per-generator indices, every generator and sign must give code +- g
+@pytest.mark.parametrize("p, k", [(3, 3), (2, 4)])
+def test_translation_tables_over_distinct_halves(p, k):
+    # the tables keep one row per distinct simple tensor half; gathered
+    # through the per-generator indices, every generator must give code + g
     # digit-wise, checked against pure Python on a seeded sample of codes
-    if kind == "general":
-        gens, width = rank_strata.simple_tensor_codes(FieldSpec(p), k), 1 << k
-    else:
-        gens, width = np.array([c for c, _ in rank_one_generators(FieldSpec(p), k)]), k + 1
+    gens, width = rank_strata.simple_tensor_codes(FieldSpec(p), k), 1 << k
     space = p**width
     codes = sorted({0, space - 1, *random.Random(1209).sample(range(space), min(space, 200))})
 
     def digits(c):
         return [c // p**j % p for j in range(width)]
 
-    for sign in (1, -1):
-        TH, IH, TL, IL, low = rank_strata._tables(gens, p, width, sign)
-        assert TH.shape[0] == np.unique(gens // low).size and TL.shape[0] == np.unique(gens % low).size
-        assert TH.dtype == np.int32 and TL.dtype == np.uint16
-        if kind == "general":
-            assert TH.shape[0] < gens.size and TL.shape[0] < gens.size
-        u = np.array(codes)
-        sums = np.take(TH[IH], u // low, axis=1) + np.take(TL[IL], u % low, axis=1)
-        for g, row in zip(gens.tolist(), sums.tolist()):
-            expected = [sum((a + sign * b) % p * p**j for j, (a, b) in enumerate(zip(digits(c), digits(g))))
-                        for c in codes]
-            assert row == expected, (sign, g)
+    TH, IH, TL, IL, low = rank_strata._tables(gens, p, width)
+    assert TH.shape[0] == np.unique(gens // low).size and TL.shape[0] == np.unique(gens % low).size
+    assert TH.dtype == np.int32 and TL.dtype == np.uint16
+    assert TH.shape[0] < gens.size and TL.shape[0] < gens.size
+    u = np.array(codes)
+    sums = np.take(TH[IH], u // low, axis=1) + np.take(TL[IL], u % low, axis=1)
+    for g, row in zip(gens.tolist(), sums.tolist()):
+        expected = [sum((a + b) % p * p**j for j, (a, b) in enumerate(zip(digits(c), digits(g))))
+                    for c in codes]
+        assert row == expected, g
 
 
-@pytest.mark.parametrize("kind, p, k, sign", [("general", 3, 3, 1), ("symmetric", 5, 3, 1),
-                                               ("symmetric", 5, 3, -1)])
 @pytest.mark.parametrize("size", [1, 3, 50])
-def test_translated_chunks_are_every_code_plus_every_generator(monkeypatch, kind, p, k, sign, size):
-    # every (frontier code, generator) sum is yielded exactly once and equals
-    # code + sign * g digit-wise; 50 codes with _PULL_CHUNK set to the table
-    # rows force frontier slices of 4 codes and, at rows=3, blocks of one
+def test_translated_chunks_are_every_code_plus_every_generator(monkeypatch, size):
+    # blocks come slice by slice, each slice's generators in order, so every
+    # (frontier code, generator) sum is yielded exactly once and equals
+    # code + g digit-wise; 50 codes with _PULL_CHUNK set to the table rows
+    # force frontier slices of 4 codes and, at rows=3, blocks of one
     # generator
-    if kind == "general":
-        gens, width = rank_strata.simple_tensor_codes(FieldSpec(p), k), 1 << k
-    else:
-        gens, width = np.array([c for c, _ in rank_one_generators(FieldSpec(p), k)]), k + 1
-    tables = rank_strata._tables(gens, p, width, sign)
+    p, k = 3, 3
+    gens, width = rank_strata.simple_tensor_codes(FieldSpec(p), k), 1 << k
+    tables = rank_strata._tables(gens, p, width)
     rows_total = tables[0].shape[0] + tables[2].shape[0]
     rows = 7
     if size == 50:
@@ -350,17 +334,20 @@ def test_translated_chunks_are_every_code_plus_every_generator(monkeypatch, kind
     frontier = np.array(random.Random(size).sample(range(p**width), size))
 
     def digitwise(c, g):
-        return sum((c // p**j % p + sign * (g // p**j % p)) % p * p**j for j in range(width))
+        return sum((c // p**j % p + g // p**j % p) % p * p**j for j in range(width))
 
-    seen, slices, blocks = [], set(), set()
-    for cols, g, sums in rank_strata._translated(frontier, *tables, rows):
+    seen, slices, blocks, start, g = [], set(), set(), 0, 0
+    for sums in rank_strata._translated(frontier, *tables, rows):
         assert sums.dtype == np.int32 and rows_total * sums.shape[1] <= 4 * rank_strata._PULL_CHUNK
-        codes = frontier[cols].tolist()
-        slices.add((cols.start, len(codes)))
+        codes = frontier[start : start + sums.shape[1]].tolist()
+        slices.add((start, len(codes)))
         blocks.add(sums.shape[0])
         for i, row in enumerate(sums.tolist()):
             assert row == [digitwise(c, int(gens[g + i])) for c in codes], (g + i, codes)
             seen += [(c, g + i) for c in codes]
+        g += sums.shape[0]
+        if g == gens.size:
+            start, g = start + len(codes), 0
     assert sorted(seen) == sorted(product(frontier.tolist(), range(gens.size)))
     if size == 50:
         assert len(slices) == 13 and blocks == {1}

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import shutil
 
 import pytest
@@ -13,7 +15,15 @@ from symcanon import (
     verify_against_paper,
 )
 from symcanon.cli import main
-from symcanon.report import ERRATUM_SUSPECTED, MISMATCH, fixtures_dir, list_fixtures
+from symcanon.report import (
+    ERRATUM_SUSPECTED,
+    MISMATCH,
+    ErratumNote,
+    FixtureRow,
+    FixtureTable,
+    fixtures_dir,
+    list_fixtures,
+)
 
 
 def test_fixture_inventory():
@@ -181,3 +191,109 @@ def test_erratum_rows_all_have_computed_replacements(classification_for):
         for d in diff(classification_for(p, k), load_fixture(p, k)):
             assert d.classification == ERRATUM_SUSPECTED
             assert d.computed and "unmatched" not in d.computed
+
+
+# SHA-256 of the tabular, markdown and latex output, recorded while only the
+# structured output was pinned; (2,3), (2,4) and (3,4) have undecomposable
+# records
+PINNED_EMIT_SHA256 = {
+    ((2, 3), "tabular"):
+        "6903df7f3199106634c7b0e6df466f3bd13a6e7ca42a3fbaf14fc4dcb2577441",
+    ((2, 3), "markdown"):
+        "feb441cc38db775e7c09d5514027bdb6259fdc11a0b84c5d872bfef74542bfad",
+    ((2, 3), "latex"):
+        "bc466002f34bd81b8317afca82cac82cd7fab6c3598b7381e6caea8bd7ec7cd5",
+    ((7, 3), "tabular"):
+        "458a4cc8b1a5d527a5c5bcbfd621e64e6bd88c16f17d40b0743e7a59660d108a",
+    ((7, 3), "markdown"):
+        "4ea335c2385acbe43c6b53605930681f3081a3eb491463b7b1d729d46ed1d3b5",
+    ((7, 3), "latex"):
+        "7c4494b067f24cc1379e7ef99b24bd2e1c8e96922f83419505a5a6e094ce8c12",
+    ((2, 4), "tabular"):
+        "c56fefd95370803aaa48ceaa8977d8912ea922e5e671af155281d6a7b2bcbbdf",
+    ((2, 4), "markdown"):
+        "4da34d02f191e154f6943b7a018ded502132c7c991453df58b0b1ecef2db8ae7",
+    ((2, 4), "latex"):
+        "1362a6d0f0d0a0e922c3abe015be6e54bcd8d56706e2f7fa6dcd93364881b93e",
+    ((3, 4), "tabular"):
+        "f1d21866387bbaaf957a464520e13c09212233dbd2810bb381d383d13ae25c83",
+    ((3, 4), "markdown"):
+        "74d0cff8a95bbe10e85fb78cabca344c2864eae3156c843f63cd18248e105a94",
+    ((3, 4), "latex"):
+        "e9285e9f10e3290ce2942700346e8062bf0de04fb63d0f74d82dd58142b3feb7",
+}
+
+
+@pytest.mark.parametrize("pair, format", list(PINNED_EMIT_SHA256))
+def test_text_formats_pinned(pair, format, classification_for):
+    text = emit(classification_for(*pair), format)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EMIT_SHA256[(pair, format)]
+
+
+def mutated_fixture(rng, fixture):
+    """`fixture` after one to three random row edits, with a random sidecar.
+
+    Edits change a size, copy a canonical row, shift a rank, change one
+    digit, delete a row or duplicate one.  The sidecar flags sizes,
+    canonicals or both, mostly on edited rows, keeps the stored entries
+    when their rows still exist, and sometimes adds a prose note.
+    """
+    rows = [[row.rank, row.orbit_size, list(row.canonical), False] for row in fixture.rows]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        edit = rng.choice(["size", "canonical", "rank", "digit", "delete", "duplicate"])
+        if edit == "size":
+            rows[i][1] = rng.choice([rows[j][1], rows[i][1] + 1, 2 * rows[i][1]])
+        elif edit == "canonical":
+            rows[i][2] = list(rows[j][2])
+        elif edit == "rank":
+            rows[i][0] = max(0, rows[i][0] + rng.choice([-1, 1]))
+        elif edit == "digit":
+            t = rng.randrange(len(rows[i][2]))
+            rows[i][2][t] = (rows[i][2][t] + 1) % fixture.p
+        elif edit == "delete" and len(rows) > 1:
+            del rows[i]
+            continue
+        elif edit == "duplicate":
+            rows.insert(j, [rows[i][0], rows[i][1], list(rows[i][2]), True])
+        rows[i][3] = True
+    edited = [i for i, row in enumerate(rows) if row[3]]
+    notes = [note for note in fixture.errata
+             if all(i < len(rows) for i in note.rows) and rng.random() < 0.5]
+    for n in range(rng.randint(0, 2)):
+        pool = edited if edited and rng.random() < 0.7 else range(len(rows))
+        flagged = rng.sample(list(pool), min(len(pool), rng.randint(1, 3)))
+        fields = rng.choice([("orbit_size",), ("canonical",), ("orbit_size", "canonical"),
+                             ("canonical", "orbit_size")])
+        notes.append(ErratumNote(f"M{n}", ERRATUM_SUSPECTED, tuple(flagged), fields, "x", "test"))
+    if rng.random() < 0.1:
+        notes.append(ErratumNote("MP", ERRATUM_SUSPECTED, (), ("prose",), "x", "test"))
+    table = tuple(FixtureRow(i, rank, size, tuple(digits))
+                  for i, (rank, size, digits, _) in enumerate(rows))
+    return FixtureTable(fixture.p, fixture.order, table, tuple(notes))
+
+
+# SHA-256 of every discrepancy line over the 1 000 mutated tables of
+# test_diff_on_mutated_tables, recorded before the pairing used one pool of
+# unpaired orbits
+PINNED_MUTATED_DIFF_SHA256 = "eb80e6979f3d7cc47bac363a82b0c83b8713b1a73899797529f8a7b7d44d63c8"
+
+
+def test_diff_on_mutated_tables(classification_for):
+    # seeded edits of the 11 stored tables reach every pairing branch: rows
+    # paired by canonical form, flagged canonicals paired by size or, when
+    # the size is flagged too, by position, repeated and absent rows, and
+    # computed orbits no row claims
+    from conftest import ALL_PAIRS
+
+    rng, h, notes = random.Random(1209), hashlib.sha256(), set()
+    for case in range(1000):
+        p, k = rng.choice(ALL_PAIRS)
+        lines = [d.line() for d in diff(classification_for(p, k), mutated_fixture(rng, load_fixture(p, k)))]
+        h.update(("\n".join([f"case {case} p={p} k={k}"] + lines) + "\n").encode())
+        notes.update(line.rsplit(". ", 1)[-1] for line in lines if line.startswith(MISMATCH))
+    assert notes == {"table row has no computed counterpart",
+                     "flagged canonical, but the size matches no computed orbit",
+                     "computed orbit missing from the table"} | {
+        n for n in notes if n.startswith("canonical ")}
+    assert h.hexdigest() == PINNED_MUTATED_DIFF_SHA256
