@@ -16,21 +16,21 @@ code c of rank r is the least pred * G + gen with pred = c - generator
 gen of rank r - 1, derived on demand.  Generators are ordered by their
 least generating vector, so witnesses are reproducible.
 
-General strata run on full codes u1 * p^m + u2, m = 2^(k-1), whose high
-and low halves are the mode-1 slices X1 and X2, and keep only layer sizes
-and ranks.  The general rank of X depends only on span(X1, X2) (Ja'Ja',
-"Optimal evaluation of pairs of bilinear forms", SIAM J. Comput. 1979),
-so it is constant on the classes of GL2 acting on mode 1; every layer is
-a union of classes, since A X + g = A (X + A^-1 g) and A^-1 g is simple.
-Adding a generator acts digit-wise on the high and the low half of a
-code, so with tables of every half code translated by each distinct
-generator half, a sum is two row gathers and one add; the simple tensors
-are closed under negation, so the same tables give code - g.  Each layer
-of `_layered_search` pushes (frontier + every generator) while the
-frontier is small and pulls once it is dense (an unranked u is ranked if
-some u - g lies in the previous layer): Beamer, Asanovic and Patterson,
-"Direction-Optimizing Breadth-First Search", SC'12.  It runs on one
-representative per class (the reduced row echelon form, RREF, of
+General strata run on full codes u1 * p^m + u2, m = 2^(k-1), whose two
+m-digit slices u1, u2 are the mode-1 slices X1 and X2, and keep only
+layer sizes and ranks.  The general rank of X depends only on
+span(X1, X2) (Ja'Ja', "Optimal evaluation of pairs of bilinear forms",
+SIAM J. Comput. 1979), so it is constant on the classes of GL2 acting on
+mode 1; every layer is a union of classes, since A X + g = A (X + A^-1 g)
+and A^-1 g is simple.  Adding a generator acts digit-wise on each slice
+of a code, so with tables of every slice translated by each distinct
+generator slice, a sum is two row gathers and one add; the simple
+tensors are closed under negation, so the same tables give code - g.
+Each layer of `_layered_search` pushes (frontier + every generator)
+while the frontier is small and pulls once it is dense (an unranked u is
+ranked if some u - g lies in the previous layer): Beamer, Asanovic and
+Patterson, "Direction-Optimizing Breadth-First Search", SC'12.  It runs
+on one representative per class (the reduced row echelon form, RREF, of
 [u1; u2]) and writes each rank to whole classes (the closure).  A push
 closes the class of each unranked sum of a generator and a
 representative of rank r - 1; a representative (u1, 0) is fixed by
@@ -38,16 +38,16 @@ S = {[[1, b], [0, d]]} on mode 1, so its sums with g and with A g, A in S,
 share a class, and it takes one generator per S-orbit: p (p + 1)^(k-1) of
 the (p - 1)(p + 1)^k simple tensors (448 of 3 072 at p = 7, k = 3).  A
 pull ranks the unranked representatives with some representative - g of
-rank r - 1, then closes the smaller side: the classes just ranked or,
-when fewer stayed unranked, those (marked) while every other unranked
-code takes the rank.  At p = 3, k = 4 the layer-4 pull tests 761 404
-representatives instead of 36.5 M codes and closes 11 016 classes
-instead of 750 388.  Besides the int8 rank table, the tables (of which a
-pull block copies up to 64 rows) and the int32 representatives, each
-temporary of a pass (the sums of a pull block, a closure chunk, a shift
-slice) holds about _PULL_CHUNK entries, whatever the space.  A budget
-caps the space (p = 7, k = 4 with ~3.3e13 codes fails explicitly); codes
-are int32, so spaces beyond 2^31 codes are refused whatever the budget.
+rank r - 1, then closes the classes left unranked (marked) while every
+other unranked code takes the rank.  At p = 3, k = 4 the layer-4 pull
+tests 761 404 representatives instead of 36.5 M codes and closes the
+11 016 classes left unranked instead of the 750 388 it ranked.  Besides
+the int8 rank table, the tables (of which a pull block copies up to 64
+rows) and the int32 representatives, each temporary of a pass (the sums
+of a pull block, a closure chunk, a shift slice) holds about _PULL_CHUNK
+entries, whatever the space.  A budget caps the space (p = 7, k = 4 with
+~3.3e13 codes fails explicitly); codes are int32, so spaces beyond 2^31
+codes are refused whatever the budget.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -195,14 +195,14 @@ def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET, stack=None):
     return RankStratification(field, k, [vec for _, vec in gens], rank.take(lab), gen_codes, lab)
 
 
-def _tables(gen_codes, p, width):
-    """(TH, IH, TL, IL, low) with code + g == TH[IH[g], code // low]
-    + TL[IL[g], code % low] digit-wise, one table row per distinct half; TL
-    is uint16, its entries below low < 46 341 for any space under 2^31."""
-    low = p ** (width // 2)
-    (high, ih), (rest, il) = (np.unique(half, return_inverse=True) for half in divmod(gen_codes, low))
-    return (_translations(high, p, width - width // 2, low), ih,
-            _translations(rest, p, width // 2).astype(np.uint16), il, low)
+def _tables(gen_codes, p, m):
+    """(TH, IH, TL, IL, H) with code + g == TH[IH[g], code // H]
+    + TL[IL[g], code % H] digit-wise, H = p^m, one table row per distinct
+    mode-1 slice; TL is uint16, its entries below H < 46 341 for any space
+    under 2^31."""
+    H = p**m
+    (high, ih), (rest, il) = (np.unique(half, return_inverse=True) for half in divmod(gen_codes, H))
+    return _translations(high, p, m, H), ih, _translations(rest, p, m).astype(np.uint16), il, H
 
 
 def _translations(gen_parts, p, width, scale=1):
@@ -217,7 +217,7 @@ def _translations(gen_parts, p, width, scale=1):
     return T
 
 
-def _translated(frontier, TH, IH, TL, IL, low, rows):
+def _translated(frontier, TH, IH, TL, IL, H, rows):
     """Yields frontier + every generator in blocks of about `rows` sums, a
     slice of the frontier plus a run of generators, slice by slice; each
     slice takes its columns of both tables once (at most 4 * _PULL_CHUNK
@@ -225,7 +225,7 @@ def _translated(frontier, TH, IH, TL, IL, low, rows):
     step = max(1, 4 * _PULL_CHUNK // (TH.shape[0] + TL.shape[0]))
     for start in range(0, frontier.size, step):
         f = frontier[start : start + step]
-        hi, lo = np.take(TH, f // low, axis=1), np.take(TL, f % low, axis=1)
+        hi, lo = np.take(TH, f // H, axis=1), np.take(TL, f % H, axis=1)
         block = max(1, rows // hi.shape[1])
         for g in range(0, IH.size, block):
             yield hi[IH[g : g + block]] + lo[IL[g : g + block]]
@@ -341,28 +341,21 @@ def simple_tensor_codes(field, k):
 def general_rank_strata(field, k, budget=DEFAULT_BUDGET):
     """Rank layers over the full tensor space; refuses oversized spaces."""
     p = field.p
-    n = 1 << k
-    space = p**n
-    _refuse_oversized("full code space p^(2^k) =", space, budget)
-    gens = simple_tensor_codes(field, k)
-    rank_of, sizes = _layered_search(space, gens, _tables(gens, p, n), _mode1_classes(p, n // 2))
+    _refuse_oversized("full code space p^(2^k) =", p ** (1 << k), budget)
+    rank_of, sizes = _layered_search(p, 1 << (k - 1), simple_tensor_codes(field, k))
     return GeneralRankStratification(field=field, order=k, sizes=sizes, _rank_of=rank_of)
 
 
 def _mode1_classes(p, m):
-    """(select, count, largest, close, transversal) of the mode-1 classes
-    of GL2, for full codes u1 * p^m + u2 with slices u1, u2 of m digits.
+    """(reps, close, monic) for the mode-1 classes of GL2, on full codes
+    u1 * p^m + u2 with slices u1, u2 of m digits.
 
-    The representatives are the nonzero codes with [u1; u2] in reduced row
-    echelon form (pivot: leading nonzero digit; monic: pivot digit 1): u1
-    monic and u2 = 0, or u1 and u2 monic, the pivot of u2 right of that of
-    u1 and u1 zero there.  select(rank_of, r) gives the int32
-    representatives of rank r, count(reps) the number of codes in their
-    classes (p^2 - 1 for u2 = 0, |GL2| otherwise), largest is |GL2|,
-    close(codes, r, rank_of) writes r to the classes of any codes, and
-    transversal(gens) the positions in gens of R, one simple tensor per
-    orbit of S = {[[1, b], [0, d]]}, the stabilizer of the representatives
-    (u1, 0): the codes with u2 = 0, or with u1 = 0 and u2 monic.
+    reps are the int32 representatives, the nonzero codes with [u1; u2] in
+    reduced row echelon form (pivot: leading nonzero digit; monic: pivot
+    digit 1): u1 monic and u2 = 0, or u1 and u2 monic, the pivot of u2
+    right of that of u1 and u1 zero there.  close(codes, r, rank_of)
+    writes r to the classes of any codes, and monic[u] tells whether the
+    m-digit slice u is monic.
     """
     H = p**m
     digits = digits_of_codes(np.arange(H), p, m)
@@ -372,19 +365,14 @@ def _mode1_classes(p, m):
     for j in range(1, m):
         u1 = np.flatnonzero(monic & (pivot < j) & (digits[:, j] == 0))
         reps.append((u1[:, None] * H + np.flatnonzero(monic & (pivot == j))).ravel())
-    reps = np.concatenate(reps).astype(np.int32)  # every code is below _MAX_CODES
+    reps = np.concatenate(reps).astype(np.int32)  # every code is below 2^31
     place = p ** np.arange(m - 1, -1, -1)
     scale = np.stack([(a * digits % p) @ place for a in range(p)]).astype(np.int32)
     w = (m + 1) // 2
     add = _translations(np.arange(p**w), p, w)  # digit-wise sums of quarter codes
     a, b = np.divmod(np.arange(p * p), p)
     first, second = np.nonzero((a[:, None] * b - b[:, None] * a) % p)  # rows of A in GL2
-    return (lambda rank_of, r: reps[rank_of[reps] == r],
-            lambda codes: (codes.size * (p * p - 1)
-                           + int(np.count_nonzero(codes % H)) * (first.size - p * p + 1)),
-            first.size,
-            partial(_close, scale, add, first, second),
-            lambda gens: np.flatnonzero((gens % H == 0) | ((gens < H) & monic[gens % H])))
+    return reps, partial(_close, scale, add, first, second), monic
 
 
 def _close(scale, add, first, second, codes, r, rank_of):
@@ -405,45 +393,45 @@ def _close(scale, add, first, second, codes, r, rank_of):
         rank_of[span[first] * H + span[second]] = r
 
 
-def _layered_search(space, gens, tables, classes):
-    """(rank_of, sizes): int8 rank of every code, -1 if never reached, and
-    the size of each layer.  `tables` are the `_tables` of code + g over
-    the generator codes `gens`, which give code - g too, and `classes` is
-    (select, count, largest, close, transversal) from _mode1_classes.
+def _layered_search(p, m, gens):
+    """(rank_of, sizes) over the codes u1 * H + u2, H = p^m: the int8 rank
+    of every code, -1 if never reached, and the size of each layer, from
+    the simple tensor codes `gens`.
 
-    Past the generators each layer either pushes from the representatives
-    of rank r - 1, closing classes as it goes (those with u2 = 0 take only
-    transversal(gens), one generator per orbit of their stabilizer), or
-    pulls the unranked representatives and then closes the smaller side
-    (see the module docstring): the classes just ranked or, when fewer
-    stayed unranked, those, marked -r - 2, after which every negative code
-    shifts by r + 1, in slices of _PULL_CHUNK codes, so the unmarked
-    unranked codes become r and the marked ones -1 again."""
-    select, count, largest, close, transversal = classes
-    one_per_orbit = transversal(gens)
-    rank_of = np.full(space, -1, dtype=np.int8)
+    Layers are searched on the representatives of _mode1_classes, each
+    standing for p^2 - 1 codes when u2 = 0 and |GL2| otherwise.  Past the
+    generators each layer either pushes from the representatives of rank
+    r - 1, closing classes as it goes (those with u2 = 0 take only R, one
+    generator per orbit of their stabilizer S: u2 = 0, or u1 = 0 and u2
+    monic), or pulls the unranked representatives and then closes the
+    classes left unranked (see the module docstring), marked -r - 2, after
+    which every negative code shifts by r + 1, in slices of _PULL_CHUNK
+    codes, so the unmarked unranked codes become r and the marked ones -1
+    again."""
+    H = p**m
+    small, largest = p * p - 1, (p * p - 1) * (p * p - p)  # class sizes: u2 = 0, else |GL2|
+    tables = _tables(gens, p, m)  # first: the other order peaks 1.2 MiB higher at p = 3, k = 4
+    reps, close, monic = _mode1_classes(p, m)
+    one_per_orbit = np.flatnonzero((gens % H == 0) | ((gens < H) & monic[gens % H]))
+    rank_of = np.full(H * H, -1, dtype=np.int8)
     rank_of[0] = 0
     rank_of[gens] = 1
     sizes = [1, int(gens.size)]
-    layer = select(rank_of, 1)
-    unranked = space - 1 - gens.size
+    layer = reps[rank_of[reps] == 1]
+    unranked = H * H - 1 - gens.size
     while unranked:
         r = len(sizes)
         if sizes[-1] * gens.size <= _PUSH_FACTOR * unranked:
-            _push(layer, r, *tables, rank_of, close, largest, one_per_orbit)
-            layer = select(rank_of, r)
+            _push(layer, r, tables, rank_of, close, largest, one_per_orbit)
         else:
-            _pull(select(rank_of, -1), r, *tables, rank_of)
-            layer, left = select(rank_of, r), select(rank_of, -1)
-            if layer.size <= left.size:
-                close(layer, r, rank_of)
-            else:
-                close(left, -r - 2, rank_of)
-                for start in range(0, space, _PULL_CHUNK):  # no whole-space temporary
-                    _shift(rank_of[start : start + _PULL_CHUNK], r + 1)
+            _pull(reps[rank_of[reps] == -1], r, tables, rank_of)
+            close(reps[rank_of[reps] == -1], -r - 2, rank_of)
+            for start in range(0, H * H, _PULL_CHUNK):  # no whole-space temporary
+                _shift(rank_of[start : start + _PULL_CHUNK], r + 1)
+        layer = reps[rank_of[reps] == r]
         if layer.size == 0:
             break
-        sizes.append(count(layer))
+        sizes.append(layer.size * small + int(np.count_nonzero(layer % H)) * (largest - small))
         unranked -= sizes[-1]
     return rank_of, sizes
 
@@ -455,7 +443,7 @@ def _shift(part, by):
     part += shift
 
 
-def _push(frontier, r, TH, IH, TL, IL, low, rank_of, close, largest, one_per_orbit):
+def _push(frontier, r, tables, rank_of, close, largest, one_per_orbit):
     """Ranks r the class of each unranked frontier code plus a generator.
 
     Codes with u2 != 0 take every generator, then those with u2 = 0, fixed
@@ -466,14 +454,15 @@ def _push(frontier, r, TH, IH, TL, IL, low, rank_of, close, largest, one_per_orb
     about _PULL_CHUNK // largest (the largest class size), each
     re-filtered, so that a class closed by one step is skipped by the next;
     a class hit twice within one step is closed twice."""
-    u2_zero = frontier % low == 0
+    TH, IH, TL, IL, H = tables
+    u2_zero = frontier % H == 0
     for part, ih, il in ((frontier[~u2_zero], IH, IL),
                          (frontier[u2_zero], IH[one_per_orbit], IL[one_per_orbit])):
-        for codes in _translated(part, TH, ih, TL, il, low, _PULL_CHUNK // largest):
+        for codes in _translated(part, TH, ih, TL, il, H, _PULL_CHUNK // largest):
             close(codes[rank_of[codes] < 0], r, rank_of)
 
 
-def _pull(candidates, r, TH, IH, TL, IL, low, rank_of):
+def _pull(candidates, r, tables, rank_of):
     """Ranks r the candidate codes u with some u - g (from the tables) of
     rank r - 1.
 
@@ -481,9 +470,10 @@ def _pull(candidates, r, TH, IH, TL, IL, low, rank_of):
     blocks grow from 4 to 64 (most codes hit within a few) but stay within
     _PULL_CHUNK // |u|: a block tests <= _PULL_CHUNK pairs (1 MiB of sums).
     """
+    TH, IH, TL, IL, H = tables
     for start in range(0, candidates.size, _PULL_CHUNK // 4):
         u = candidates[start : start + _PULL_CHUNK // 4]
-        hi, lo = u // low, u % low
+        hi, lo = u // H, u % H
         g, block = 0, 2
         while g < IH.size and u.size:
             block = min(2 * block, 64, _PULL_CHUNK // u.size)  # >= 4, as |u| <= _PULL_CHUNK // 4

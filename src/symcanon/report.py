@@ -266,7 +266,8 @@ def diff(report, fixture):
     """Row-level comparison of a classification against a stored table.
 
     A canonical form names exactly one orbit, so rows pair with computed
-    orbits by (rank, canonical form), each orbit at most once.  Rows whose
+    orbits by (rank, canonical form), each orbit at most once; a later row
+    with the same pair is reported as a repeat of the first.  Rows whose
     canonical column is flagged pair afterwards with the first unpaired
     orbit of their rank and size or, when the size is flagged too, of their
     rank alone.  A sidecar flag suppresses the comparison of its fields
@@ -295,6 +296,7 @@ def diff(report, fixture):
     mismatches = []
     matched = {}  # fixture row index -> record, or None
     left = {(rec.rank, rec.canonical): rec for rec in report.records}  # unpaired
+    paired = {}  # (rank, canonical form) -> the row that took its orbit
 
     def mismatch(rank, field, printed, computed, note):
         mismatches.append(
@@ -307,14 +309,20 @@ def diff(report, fixture):
         fields = flagged.get(row.index, set())
         if "canonical" in fields:
             continue
-        rec = matched[row.index] = left.pop((row.rank, row.canonical), None)
-        if rec is None:
+        key = (row.rank, row.canonical)
+        rec = matched[row.index] = left.pop(key, None)
+        if rec is None and key in paired:
+            mismatch(row.rank, "canonical", _fmt_digits(row.canonical),
+                     f"orbit already paired with row {paired[key]}", "the table repeats it")
+        elif rec is None:
             mismatch(row.rank, "canonical", _fmt_digits(row.canonical),
                      "no such orbit", "table row has no computed counterpart")
-        elif rec.orbit_size != row.orbit_size and "orbit_size" not in fields:
-            mismatch(row.rank, "orbit_size", str(row.orbit_size),
-                     str(rec.orbit_size),
-                     f"canonical {_fmt_digits(row.canonical)}")
+        else:
+            paired[key] = row.index
+            if rec.orbit_size != row.orbit_size and "orbit_size" not in fields:
+                mismatch(row.rank, "orbit_size", str(row.orbit_size),
+                         str(rec.orbit_size),
+                         f"canonical {_fmt_digits(row.canonical)}")
 
     # rows whose canonical column is flagged pair up by size, else by position
     for row in fixture.rows:
@@ -366,11 +374,11 @@ def _percentages(counts, space):
     return [round(100.0 * c / space, 2) for c in counts]
 
 
-def build_document(report, include_timing=False, directory=None):
+def build_document(report, include_timing=False):
     """Assemble the serializable document for a classification report."""
     space = report.p ** (report.order + 1)
     try:
-        errata = [asdict(note) for note in load_fixture(report.p, report.order, directory).errata]
+        errata = [asdict(note) for note in load_fixture(report.p, report.order).errata]
     except MissingFixtureError:
         errata = []
     doc = {
@@ -406,14 +414,14 @@ def _record_dict(rec):
     }
 
 
-def emit(report, format="structured", include_timing=False, directory=None):
+def emit(report, format="structured", include_timing=False):
     """Render a classification report in one of the supported formats."""
     if format == "md":
         format = "markdown"
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     if format == "structured":
-        doc = build_document(report, include_timing, directory)
+        doc = build_document(report, include_timing)
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if format == "tabular":
         return _emit_tabular(report)

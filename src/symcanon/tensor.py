@@ -58,10 +58,8 @@ class Tensor:
         k = n.bit_length() - 1
         if n < 4 or (1 << k) != n:
             raise ValueError(f"entry count must be 2^k with k >= 2, got {n}")
-        p = self.field.p
         for v in self.entries:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < p:
-                raise ValueError(f"entry out of range mod {p}: {v!r}")
+            self.field.check(v)
 
     @property
     def order(self):
@@ -106,10 +104,8 @@ class CompactSym:
             raise ValueError(
                 f"expected {self.order + 1} coefficients, got {len(self.coeffs)}"
             )
-        p = self.field.p
         for v in self.coeffs:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < p:
-                raise ValueError(f"coefficient out of range mod {p}: {v!r}")
+            self.field.check(v)
 
     def full(self):
         return full_from_compact(self)

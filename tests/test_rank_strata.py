@@ -304,12 +304,13 @@ def test_translation_tables_over_distinct_halves(p, k):
     def digits(c):
         return [c // p**j % p for j in range(width)]
 
-    TH, IH, TL, IL, low = rank_strata._tables(gens, p, width)
-    assert TH.shape[0] == np.unique(gens // low).size and TL.shape[0] == np.unique(gens % low).size
+    TH, IH, TL, IL, H = rank_strata._tables(gens, p, width // 2)
+    assert H == p ** (width // 2)
+    assert TH.shape[0] == np.unique(gens // H).size and TL.shape[0] == np.unique(gens % H).size
     assert TH.dtype == np.int32 and TL.dtype == np.uint16
     assert TH.shape[0] < gens.size and TL.shape[0] < gens.size
     u = np.array(codes)
-    sums = np.take(TH[IH], u // low, axis=1) + np.take(TL[IL], u % low, axis=1)
+    sums = np.take(TH[IH], u // H, axis=1) + np.take(TL[IL], u % H, axis=1)
     for g, row in zip(gens.tolist(), sums.tolist()):
         expected = [sum((a + b) % p * p**j for j, (a, b) in enumerate(zip(digits(c), digits(g))))
                     for c in codes]
@@ -325,8 +326,8 @@ def test_translated_chunks_are_every_code_plus_every_generator(monkeypatch, size
     # generator
     p, k = 3, 3
     gens, width = rank_strata.simple_tensor_codes(FieldSpec(p), k), 1 << k
-    tables = rank_strata._tables(gens, p, width)
-    rows_total = tables[0].shape[0] + tables[2].shape[0]
+    TH, IH, TL, IL, H = rank_strata._tables(gens, p, width // 2)
+    rows_total = TH.shape[0] + TL.shape[0]
     rows = 7
     if size == 50:
         monkeypatch.setattr(rank_strata, "_PULL_CHUNK", rows_total)
@@ -337,7 +338,7 @@ def test_translated_chunks_are_every_code_plus_every_generator(monkeypatch, size
         return sum((c // p**j % p + g // p**j % p) % p * p**j for j in range(width))
 
     seen, slices, blocks, start, g = [], set(), set(), 0, 0
-    for sums in rank_strata._translated(frontier, *tables, rows):
+    for sums in rank_strata._translated(frontier, TH, IH, TL, IL, H, rows):
         assert sums.dtype == np.int32 and rows_total * sums.shape[1] <= 4 * rank_strata._PULL_CHUNK
         codes = frontier[start : start + sums.shape[1]].tolist()
         slices.add((start, len(codes)))
@@ -546,9 +547,8 @@ def test_general_sizes_are_the_layer_counts(general_for):
 
 
 def mode1_reps(p, k):
-    """All representatives of the mode-1 classes, as _mode1_classes selects them."""
-    select = rank_strata._mode1_classes(p, 1 << (k - 1))[0]
-    return select(np.full(p ** (1 << k), -1, dtype=np.int8), -1)
+    """All representatives of the mode-1 classes, as _mode1_classes gives them."""
+    return rank_strata._mode1_classes(p, 1 << (k - 1))[0]
 
 
 @pytest.mark.parametrize("settings", [
@@ -581,7 +581,8 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
                 kept = (rank_of[codes].copy(), rank_of[reps].copy())
             calls.append((name, args + kept))
             if name == "_pull":
-                args = args[:2] + (args[2].view(Rows),) + args[3:]
+                tables = args[2]
+                args = args[:2] + ((tables[0].view(Rows),) + tables[1:],) + args[3:]
             return real(*args)
 
         monkeypatch.setattr(rank_strata, name, spy)
@@ -600,7 +601,7 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
         s = symmetric_rank_strata(FieldSpec(p), k)
         assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k, settings)
     assert calls == [] and shifts == []
-    split_pull = split_close = split_push = split_shift = smaller_side = False
+    split_pull = split_close = split_push = split_shift = pulled = False
     for p, k in [(2, 3), (3, 3), (5, 3), (2, 4)]:
         calls.clear()
         shifts.clear()
@@ -634,30 +635,26 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
                 assert codes.size <= max(step, frontier.size), (p, k, r)
                 split_push |= names[i - 1] == "_close"
                 continue
-            # exactly one closure follows each pull, and it takes the smaller
-            # side: the ranked representatives when no more than those left
-            # unranked, else the unranked ones, marked -r - 2, when fewer
+            # exactly one closure follows each pull: the representatives it
+            # left unranked, every one of them, marked -r - 2 for the pull's
+            # rank r
             assert names[i - 1] == "_pull" and names[i + 1 : i + 2] != ["_close"], (p, k, r)
             assert all(is_mode1_rref(c, p, k) for c in codes.tolist())
-            if r >= 0:
-                assert (before == r).all(), (p, k, r)
-                assert codes.size == np.count_nonzero(side == r) <= np.count_nonzero(side == -1), (p, k, r)
-            else:
-                assert (before == -1).all(), (p, k, r)
-                assert codes.size == np.count_nonzero(side == -1) < np.count_nonzero(side == -r - 2), (p, k, r)
-                smaller_side = True
-        # each marked closure is followed by one shift of the whole space, in
-        # slices of at most _PULL_CHUNK codes
+            assert r == -calls[i - 1][1][1] - 2 and (before == -1).all(), (p, k, r)
+            assert codes.size == np.count_nonzero(side == -1), (p, k, r)
+            pulled = True
+        # each pull is followed by one marked closure and one shift of the
+        # whole space, in slices of at most _PULL_CHUNK codes
         marked = sum(name == "_close" and args[5] < 0 for name, args in calls)
+        assert marked == names.count("_pull"), (p, k)
         assert sum(shifts) == marked * p ** (1 << k) and max(shifts, default=0) <= rank_strata._PULL_CHUNK
         split_shift |= len(shifts) > marked
     assert max(pairs, default=0) <= rank_strata._PULL_CHUNK
     if "_PULL_CHUNK" in settings:
         assert split_pull and split_close and split_push and split_shift
         assert max(pairs) == rank_strata._PULL_CHUNK  # 4 generators x 100 codes
-    # the last layer leaves no representative unranked, so every setting
-    # that pulls closes the unranked side at least once
-    assert smaller_side != all_push
+    # every setting but all-push pulls at least once
+    assert pulled != all_push
 
 
 def gaussian_binomial_2(p, m):
@@ -678,15 +675,18 @@ def test_mode1_representatives_are_a_transversal(p, k, count):
     assert reps.dtype == np.int32  # every code is below 2^31
     assert reps.size == len(set(reps.tolist())) == count
     assert count == (p**m - 1) // (p - 1) + gaussian_binomial_2(p, m)
-    # the class sizes sum to the nonzero codes
-    assert rank_strata._mode1_classes(p, m)[1](reps) == p ** (2 * m) - 1
+    # the class sizes _layered_search counts, p^2 - 1 for u2 = 0 and |GL2|
+    # otherwise, sum to the nonzero codes
+    sizes = np.where(reps % p**m == 0, p * p - 1, (p * p - 1) * (p * p - p))
+    assert sizes.sum() == p ** (2 * m) - 1
     if (p, k) == (3, 4):
         return  # 43 M codes: the count only
-    # disjoint orbits covering every nonzero code: one representative per class
+    # disjoint orbits of those sizes covering every nonzero code: one
+    # representative per class
     seen = set()
-    for rep in reps:
+    for rep, size in zip(reps, sizes.tolist()):
         orbit = mode1_orbit(rep, p, k)
-        assert seen.isdisjoint(orbit), rep
+        assert seen.isdisjoint(orbit) and len(orbit) == size, rep
         seen |= orbit
     assert seen == set(range(1, p ** (1 << k)))
 
@@ -697,8 +697,7 @@ def test_mode1_closure_writes_exactly_the_orbit(monkeypatch, p, k, chunk):
     # a push closes the class of any code, not only of a representative:
     # every nonzero code at (2,3), a seeded sample at (3,3), and every
     # representative, in one closure that small chunks split
-    close = rank_strata._mode1_classes(p, 1 << (k - 1))[3]
-    reps = mode1_reps(p, k)
+    reps, close, _ = rank_strata._mode1_classes(p, 1 << (k - 1))
     if chunk is not None:
         monkeypatch.setattr(rank_strata, "_PULL_CHUNK", chunk)
         assert reps.size > max(1, chunk // len(gl2(p)))
@@ -717,7 +716,7 @@ def test_mode1_closure_bytes_stay_within_one_chunk():
     # a closure works in chunks of _PULL_CHUNK // |GL2| codes, whose orbits
     # take _PULL_CHUNK int32 codes (1 MiB), however many codes it closes:
     # here all 3 250 representatives at (7,3), 6.5 M codes
-    close = rank_strata._mode1_classes(7, 4)[3]
+    close = rank_strata._mode1_classes(7, 4)[1]
     reps = mode1_reps(7, 3)
     rank_of = np.full(7**8, -1, dtype=np.int8)
     tracemalloc.start()
@@ -743,12 +742,21 @@ def in_R(gen_codes, p, k):
 
 
 @pytest.mark.parametrize("p, k", [(2, 3), (3, 3), (5, 3), (2, 4), (3, 4)])
-def test_push_generators_are_one_per_stabilizer_orbit(p, k):
+def test_push_generators_are_one_per_stabilizer_orbit(monkeypatch, p, k):
     # S = {[[1, b], [0, d]]} fixes every (u1, 0) on mode 1; the generators a
-    # u2 = 0 representative takes hold exactly one simple tensor of each
-    # S-orbit, by brute force over S with act, and the orbits stay simple
-    gens = rank_strata.simple_tensor_codes(FieldSpec(p), k)
-    R = rank_strata._mode1_classes(p, 1 << (k - 1))[4](gens)
+    # u2 = 0 representative takes, as the search hands them to every push,
+    # hold exactly one simple tensor of each S-orbit, by brute force over S
+    # with act, and the orbits stay simple
+    passed, real_push = [], rank_strata._push
+
+    def push(*args):
+        passed.append(args[-1].tolist())
+        return real_push(*args)
+
+    monkeypatch.setattr(rank_strata, "_push", push)
+    general_rank_strata(FieldSpec(p), k)
+    assert passed and all(one_per_orbit == passed[0] for one_per_orbit in passed), (p, k)
+    gens, R = rank_strata.simple_tensor_codes(FieldSpec(p), k), np.array(passed[0])
     assert R.tolist() == np.flatnonzero(in_R(gens, p, k)).tolist()
     assert R.size == p * (p + 1) ** (k - 1)
     members, simple = set(gens[R].tolist()), set(gens.tolist())
@@ -772,10 +780,10 @@ def test_push_sends_u2_zero_representatives_through_R_last(monkeypatch, push_fac
         pushes.append((args[0], []))
         return real_push(*args)
 
-    def translated(frontier, TH, IH, TL, IL, low, rows):
+    def translated(frontier, TH, IH, TL, IL, H, rows):
         if pushes:
-            pushes[-1][1].append((frontier, (TH[IH, 0] + TL[IL, 0]).tolist(), low))
-        return real_translated(frontier, TH, IH, TL, IL, low, rows)
+            pushes[-1][1].append((frontier, (TH[IH, 0] + TL[IL, 0]).tolist(), H))
+        return real_translated(frontier, TH, IH, TL, IL, H, rows)
 
     monkeypatch.setattr(rank_strata, "_push", push)
     monkeypatch.setattr(rank_strata, "_translated", translated)
@@ -788,8 +796,8 @@ def test_push_sends_u2_zero_representatives_through_R_last(monkeypatch, push_fac
         assert pushes and (not push_factor or len(pushes) == len(g.sizes) - 2), (p, k)
         for frontier, passes in pushes:
             assert [gen for _, gen, _ in passes] == [gens.tolist(), R], (p, k)
-            (others, _, low), (fixed, _, _) = passes
-            assert (others % low != 0).all() and (fixed % low == 0).all(), (p, k)
+            (others, _, H), (fixed, _, _) = passes
+            assert (others % H != 0).all() and (fixed % H == 0).all(), (p, k)
             assert sorted(others.tolist() + fixed.tolist()) == sorted(frontier.tolist()), (p, k)
         assert pushes[0][1][1][0].size > 0, (p, k)  # the generators (u1, 0) start layer 2
 

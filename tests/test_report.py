@@ -106,6 +106,17 @@ def test_diff_catches_planted_mismatch(classification_for, tmp_path):
     assert ds[0].printed == "81" and ds[0].computed == "240"
 
 
+def test_diff_names_a_repeated_row(classification_for):
+    # an unflagged row printed twice pairs with its orbit once; the copy is
+    # reported as a repeat of that row, not as an orbit that does not exist
+    fx = load_fixture(3, 3)
+    repeat = FixtureRow(len(fx.rows), fx.rows[2].rank, fx.rows[2].orbit_size, fx.rows[2].canonical)
+    ds = diff(classification_for(3, 3), FixtureTable(3, 3, fx.rows + (repeat,), ()))
+    assert [d.line() for d in ds] == [
+        "MISMATCH p=3 k=3 rank=2 canonical: printed 0 1 1 0 1 0 0 1; "
+        "computed orbit already paired with row 2. the table repeats it"]
+
+
 def test_unbacked_sidecar_entry_does_not_hide_a_mismatch(tmp_path, capsys, monkeypatch):
     # row 4 of the p=13 table has a sidecar entry on its size, but a wrong
     # size that divides |GL2| = 26208 on a symmetric, unrepeated row is not
@@ -274,9 +285,11 @@ def mutated_fixture(rng, fixture):
 
 
 # SHA-256 of every discrepancy line over the 1 000 mutated tables of
-# test_diff_on_mutated_tables, recorded before the pairing used one pool of
-# unpaired orbits
-PINNED_MUTATED_DIFF_SHA256 = "eb80e6979f3d7cc47bac363a82b0c83b8713b1a73899797529f8a7b7d44d63c8"
+# test_diff_on_mutated_tables, re-recorded when a repeated row came to be
+# named as a repeat; with those 227 lines read back as "computed no such
+# orbit. table row has no computed counterpart" it is the digest recorded
+# before the pairing used one pool of unpaired orbits, eb80e697...
+PINNED_MUTATED_DIFF_SHA256 = "cb73634bd035612f71f8eb6de2087624766a12420efd8f8545f09bfe2ff7c41b"
 
 
 def test_diff_on_mutated_tables(classification_for):
@@ -293,6 +306,7 @@ def test_diff_on_mutated_tables(classification_for):
         h.update(("\n".join([f"case {case} p={p} k={k}"] + lines) + "\n").encode())
         notes.update(line.rsplit(". ", 1)[-1] for line in lines if line.startswith(MISMATCH))
     assert notes == {"table row has no computed counterpart",
+                     "the table repeats it",
                      "flagged canonical, but the size matches no computed orbit",
                      "computed orbit missing from the table"} | {
         n for n in notes if n.startswith("canonical ")}
