@@ -104,18 +104,16 @@ def _budget(args):
         raise ValueError(f"SYMCANON_BUDGET must be an integer, got {env!r}") from None
 
 
-def _order(args, inferred=None):
-    k = args.order if args.order is not None else inferred
-    if k is None:
+def _order(args):
+    if args.order is None:
         raise ValueError("--order is required (3 or 4)")
-    if k not in SUPPORTED_ORDERS:
-        raise ValueError(f"order must be one of {SUPPORTED_ORDERS}, got {k}")
-    return k
+    if args.order not in SUPPORTED_ORDERS:
+        raise ValueError(f"order must be one of {SUPPORTED_ORDERS}, got {args.order}")
+    return args.order
 
 
 def _query_tensor(args, field):
-    X = parse_literal(args.tensor, field, args.order)
-    _order(args, inferred=X.order)
+    X = parse_literal(args.tensor, field, args.order)  # checks the order too
     if not is_symmetric(X):
         raise AsymmetricTensorError(
             "tensor literal is not symmetric; queries act on symmetric tensors"
@@ -131,7 +129,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _dispatch(args)
-    except (BudgetExceededError,) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except UndecomposableError as exc:
@@ -197,15 +195,15 @@ def _run_query(args):
         return EXIT_OK
 
     strata = symmetric_rank_strata(field, X.order, budget)
+    r = symmetric_rank(X, strata)
+    if r is None:
+        raise UndecomposableError(format_literal(X))
     if args.command == "rank":
-        r = symmetric_rank(X, strata)
-        if r is None:
-            raise UndecomposableError(format_literal(X))
         print(r)
         return EXIT_OK
 
     # decompose re-sums the witness itself and raises on a mismatch
-    witness = decompose(X, strata)  # raises UndecomposableError when undefined
+    witness = decompose(X, strata)
     for v in witness.vectors:
         print(f"{v[0]},{v[1]}")
     print(f"re-evaluated sum of {len(witness.vectors)} outer powers: matches input")

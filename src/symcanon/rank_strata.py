@@ -23,9 +23,11 @@ span(X1, X2) (Ja'Ja', "Optimal evaluation of pairs of bilinear forms",
 SIAM J. Comput. 1979), so it is constant on the classes of GL2 acting on
 mode 1; every layer is a union of classes, since A X + g = A (X + A^-1 g)
 and A^-1 g is simple.  Adding a generator acts digit-wise on each slice
-of a code, so with tables of every slice translated by each distinct
-generator slice, a sum is two row gathers and one add; the simple
-tensors are closed under negation, so the same tables give code - g.
+of a code, and the high and the low slices of the simple tensors are one
+set, {0} and the simple (k-1)-tensors, so with one table of every slice
+translated by each distinct generator slice, a sum is two row gathers
+and one add, the high gather scaled by p^m; the simple tensors are
+closed under negation, so the same table gives code - g.
 Each layer of `_layered_search` pushes (frontier + every generator)
 while the frontier is small and pulls once it is dense (an unranked u is
 ranked if some u - g lies in the previous layer): Beamer, Asanovic and
@@ -42,12 +44,12 @@ rank r - 1, then closes the classes left unranked (marked) while every
 other unranked code takes the rank.  At p = 3, k = 4 the layer-4 pull
 tests 761 404 representatives instead of 36.5 M codes and closes the
 11 016 classes left unranked instead of the 750 388 it ranked.  Besides
-the int8 rank table, the tables (of which a pull block copies up to 64
-rows) and the int32 representatives, each temporary of a pass (the sums
-of a pull block, a closure chunk, a shift slice) holds about _PULL_CHUNK
-entries, whatever the space.  A budget caps the space (p = 7, k = 4 with
-~3.3e13 codes fails explicitly); codes are int32, so spaces beyond 2^31
-codes are refused whatever the budget.
+the int8 rank table, the translation table (of which a pull block copies
+up to 64 rows per slice) and the int32 representatives, each temporary
+of a pass (the sums of a pull block, a closure chunk, a shift slice)
+holds about _PULL_CHUNK entries, whatever the space.  A budget caps the
+space (p = 7, k = 4 with ~3.3e13 codes fails explicitly); codes are
+int32, so spaces beyond 2^31 codes are refused whatever the budget.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -196,36 +198,40 @@ def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET, stack=None):
 
 
 def _tables(gen_codes, p, m):
-    """(TH, IH, TL, IL, H) with code + g == TH[IH[g], code // H]
-    + TL[IL[g], code % H] digit-wise, H = p^m, one table row per distinct
-    mode-1 slice; TL is uint16, its entries below H < 46 341 for any space
-    under 2^31."""
+    """(T, IH, IL, H) with code + g == T[IH[g], code // H] * H
+    + T[IL[g], code % H] digit-wise, H = p^m: one int32 table with a row
+    per distinct mode-1 slice of either half, as the high and the low
+    slices of the simple tensors are one set, {0} and the simple
+    (k-1)-tensors."""
     H = p**m
-    (high, ih), (rest, il) = (np.unique(half, return_inverse=True) for half in divmod(gen_codes, H))
-    return _translations(high, p, m, H), ih, _translations(rest, p, m).astype(np.uint16), il, H
+    # one unique over 1-D input: its inverse is flat on numpy 1.x and 2.x
+    slices, index = np.unique(np.concatenate(divmod(gen_codes, H)), return_inverse=True)
+    return (_translations(slices, p, m), *index.reshape(2, -1), H)
 
 
-def _translations(gen_parts, p, width, scale=1):
-    """(len(gen_parts), p^width) int32 table: scale * (every code plus each
-    part, digit-wise), built as a Kronecker sum one digit at a time, least
+def _translations(gen_parts, p, width):
+    """(len(gen_parts), p^width) int32 table: every code plus each part,
+    digit-wise, built as a Kronecker sum one digit at a time, least
     significant first."""
     digits = digits_of_codes(gen_parts, p, width)
     T = np.zeros((len(gen_parts), 1), dtype=np.int32)
     for j in range(width - 1, -1, -1):
-        top = ((np.arange(p) + digits[:, j, None]) % p * (scale * p ** (width - 1 - j))).astype(np.int32)
+        top = ((np.arange(p) + digits[:, j, None]) % p * p ** (width - 1 - j)).astype(np.int32)
         T = (top[:, :, None] + T[:, None, :]).reshape(len(gen_parts), -1)
     return T
 
 
-def _translated(frontier, TH, IH, TL, IL, H, rows):
+def _translated(frontier, T, IH, IL, H, rows):
     """Yields frontier + every generator in blocks of about `rows` sums, a
     slice of the frontier plus a run of generators, slice by slice; each
-    slice takes its columns of both tables once (at most 4 * _PULL_CHUNK
-    entries), so a block is two row gathers and an add."""
-    step = max(1, 4 * _PULL_CHUNK // (TH.shape[0] + TL.shape[0]))
+    slice takes its high and low columns of the table once (at most
+    4 * _PULL_CHUNK entries) and scales the high ones by H, so a block is
+    two row gathers and an add."""
+    step = max(1, 2 * _PULL_CHUNK // T.shape[0])
     for start in range(0, frontier.size, step):
         f = frontier[start : start + step]
-        hi, lo = np.take(TH, f // H, axis=1), np.take(TL, f % H, axis=1)
+        hi, lo = np.take(T, f // H, axis=1), np.take(T, f % H, axis=1)
+        hi *= H
         block = max(1, rows // hi.shape[1])
         for g in range(0, IH.size, block):
             yield hi[IH[g : g + block]] + lo[IL[g : g + block]]
@@ -410,12 +416,11 @@ def _layered_search(p, m, gens):
     again."""
     H = p**m
     small, largest = p * p - 1, (p * p - 1) * (p * p - p)  # class sizes: u2 = 0, else |GL2|
-    tables = _tables(gens, p, m)  # first: the other order peaks 1.2 MiB higher at p = 3, k = 4
+    tables = _tables(gens, p, m)  # first: the other order peaks 0.8 MiB higher at p = 3, k = 4
     reps, close, monic = _mode1_classes(p, m)
     one_per_orbit = np.flatnonzero((gens % H == 0) | ((gens < H) & monic[gens % H]))
     rank_of = np.full(H * H, -1, dtype=np.int8)
-    rank_of[0] = 0
-    rank_of[gens] = 1
+    rank_of[0], rank_of[gens] = 0, 1
     sizes = [1, int(gens.size)]
     layer = reps[rank_of[reps] == 1]
     unranked = H * H - 1 - gens.size
@@ -454,31 +459,31 @@ def _push(frontier, r, tables, rank_of, close, largest, one_per_orbit):
     about _PULL_CHUNK // largest (the largest class size), each
     re-filtered, so that a class closed by one step is skipped by the next;
     a class hit twice within one step is closed twice."""
-    TH, IH, TL, IL, H = tables
+    T, IH, IL, H = tables
     u2_zero = frontier % H == 0
-    for part, ih, il in ((frontier[~u2_zero], IH, IL),
-                         (frontier[u2_zero], IH[one_per_orbit], IL[one_per_orbit])):
-        for codes in _translated(part, TH, ih, TL, il, H, _PULL_CHUNK // largest):
+    for part, g in ((frontier[~u2_zero], slice(None)), (frontier[u2_zero], one_per_orbit)):
+        for codes in _translated(part, T, IH[g], IL[g], H, _PULL_CHUNK // largest):
             close(codes[rank_of[codes] < 0], r, rank_of)
 
 
 def _pull(candidates, r, tables, rank_of):
-    """Ranks r the candidate codes u with some u - g (from the tables) of
+    """Ranks r the candidate codes u with some u - g (from the table) of
     rank r - 1.
 
     Candidates come in chunks of |u| <= _PULL_CHUNK // 4, and generator
     blocks grow from 4 to 64 (most codes hit within a few) but stay within
     _PULL_CHUNK // |u|: a block tests <= _PULL_CHUNK pairs (1 MiB of sums).
     """
-    TH, IH, TL, IL, H = tables
+    T, IH, IL, H = tables
     for start in range(0, candidates.size, _PULL_CHUNK // 4):
         u = candidates[start : start + _PULL_CHUNK // 4]
         hi, lo = u // H, u % H
         g, block = 0, 2
         while g < IH.size and u.size:
             block = min(2 * block, 64, _PULL_CHUNK // u.size)  # >= 4, as |u| <= _PULL_CHUNK // 4
-            codes = np.take(TH[IH[g : g + block]], hi, axis=1)
-            codes += np.take(TL[IL[g : g + block]], lo, axis=1)
+            codes = np.take(T[IH[g : g + block]], hi, axis=1)
+            codes *= H
+            codes += np.take(T[IL[g : g + block]], lo, axis=1)
             hit = (rank_of[codes] == r - 1).any(axis=0)
             if hit.any():
                 rank_of[u[hit]] = r

@@ -258,15 +258,17 @@ def compact_decode(code, field, order):
 def parse_literal(text, field, order=None):
     """Parse a tensor literal: base-p digits in flatten order, or `c:` + compact.
 
-    Digits are comma- or space-separated ASCII decimals.  Full literals
-    return a Tensor (symmetry unchecked); compact literals return the
-    expanded SymTensor.  When order is given the digit count must match.
+    Digits are comma- or space-separated ASCII decimals; an empty field,
+    as in `1,,2` or after a trailing comma, is an error, not skipped.
+    Full literals return a Tensor (symmetry unchecked); compact literals
+    return the expanded SymTensor.  When order is given the digit count
+    must match.
     """
     text = text.strip()
     compact = text.startswith("c:")
     if compact:
         text = text[2:]
-    parts = text.replace(",", " ").split()
+    parts = [s for f in text.split(",") for s in f.split() or [f]]  # keeps an empty field
     for s in parts:  # int() would also take '1_0', '+1' and non-ASCII digits
         if not (s.isascii() and s.isdigit()):
             raise ValueError(f"bad tensor literal digit: {s!r}")

@@ -59,6 +59,13 @@ def test_rank_undecomposable_exit4(capsys):
     assert "no symmetric decomposition" in err
 
 
+@pytest.mark.parametrize("command", ["rank", "decompose"])
+def test_undecomposable_query_names_the_tensor(capsys, command):
+    code, out, err = run(capsys, command, "--p", "2", "--tensor", "c:0,1,0,0")
+    assert code == 4 and out == ""
+    assert err == "error: no symmetric decomposition (0,1,1,0,1,0,0,0)\n"
+
+
 def test_rank_rejects_asymmetric_literal(capsys):
     code, _, err = run(capsys, "rank", "--p", "2", "--tensor", "0,1,0,0,0,0,0,0")
     assert code == 2
@@ -70,9 +77,11 @@ def test_rank_rejects_bad_literal(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("literal", ["c:1_0,1,1,1", "c:\u0663,1,+1,1", "c:\uff13,1,+1,1"])
+@pytest.mark.parametrize("literal", ["c:1_0,1,1,1", "c:\u0663,1,+1,1", "c:\uff13,1,+1,1",
+                                     "c:1,2,,0,3", "c:0,1,1,1,"])
 def test_rank_rejects_non_ascii_decimal_digits(capsys, literal):
-    # int() would read 10, 3 and 1 here and answer with exit 0
+    # int() would read 10, 3 and 1 here, and dropping the empty fields would
+    # read c:1,2,0,3 and c:0,1,1,1, each answering with exit 0
     code, out, err = run(capsys, "rank", "--p", "11", "--tensor", literal)
     assert code == 2 and out == ""
     assert "bad tensor literal digit" in err and "Traceback" not in err

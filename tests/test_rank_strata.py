@@ -294,7 +294,8 @@ def test_rank_one_generator_counts():
 
 @pytest.mark.parametrize("p, k", [(3, 3), (2, 4)])
 def test_translation_tables_over_distinct_halves(p, k):
-    # the tables keep one row per distinct simple tensor half; gathered
+    # one table keeps a row per distinct slice of either half, and the high
+    # and the low slices of the simple tensors are the same set; gathered
     # through the per-generator indices, every generator must give code + g
     # digit-wise, checked against pure Python on a seeded sample of codes
     gens, width = rank_strata.simple_tensor_codes(FieldSpec(p), k), 1 << k
@@ -304,13 +305,13 @@ def test_translation_tables_over_distinct_halves(p, k):
     def digits(c):
         return [c // p**j % p for j in range(width)]
 
-    TH, IH, TL, IL, H = rank_strata._tables(gens, p, width // 2)
-    assert H == p ** (width // 2)
-    assert TH.shape[0] == np.unique(gens // H).size and TL.shape[0] == np.unique(gens % H).size
-    assert TH.dtype == np.int32 and TL.dtype == np.uint16
-    assert TH.shape[0] < gens.size and TL.shape[0] < gens.size
+    T, IH, IL, H = rank_strata._tables(gens, p, width // 2)
+    assert H == p ** (width // 2) and T.dtype == np.int32 and T.shape[1] == H
+    assert T.shape[0] == np.unique(np.concatenate([gens // H, gens % H])).size < gens.size
+    assert np.unique(gens // H).tolist() == np.unique(gens % H).tolist()
+    assert IH.shape == IL.shape == gens.shape
     u = np.array(codes)
-    sums = np.take(TH[IH], u // H, axis=1) + np.take(TL[IL], u % H, axis=1)
+    sums = np.take(T[IH], u // H, axis=1) * H + np.take(T[IL], u % H, axis=1)
     for g, row in zip(gens.tolist(), sums.tolist()):
         expected = [sum((a + b) % p * p**j for j, (a, b) in enumerate(zip(digits(c), digits(g))))
                     for c in codes]
@@ -326,8 +327,8 @@ def test_translated_chunks_are_every_code_plus_every_generator(monkeypatch, size
     # generator
     p, k = 3, 3
     gens, width = rank_strata.simple_tensor_codes(FieldSpec(p), k), 1 << k
-    TH, IH, TL, IL, H = rank_strata._tables(gens, p, width // 2)
-    rows_total = TH.shape[0] + TL.shape[0]
+    T, IH, IL, H = rank_strata._tables(gens, p, width // 2)
+    rows_total = 2 * T.shape[0]
     rows = 7
     if size == 50:
         monkeypatch.setattr(rank_strata, "_PULL_CHUNK", rows_total)
@@ -338,7 +339,7 @@ def test_translated_chunks_are_every_code_plus_every_generator(monkeypatch, size
         return sum((c // p**j % p + g // p**j % p) % p * p**j for j in range(width))
 
     seen, slices, blocks, start, g = [], set(), set(), 0, 0
-    for sums in rank_strata._translated(frontier, TH, IH, TL, IL, H, rows):
+    for sums in rank_strata._translated(frontier, T, IH, IL, H, rows):
         assert sums.dtype == np.int32 and rows_total * sums.shape[1] <= 4 * rank_strata._PULL_CHUNK
         codes = frontier[start : start + sums.shape[1]].tolist()
         slices.add((start, len(codes)))
@@ -499,13 +500,14 @@ def test_general_rank_of_pinned(general_for):
 @pytest.mark.parametrize("p, k, bound_mib", [(7, 3, 10), (3, 4, 24)])
 def test_general_search_bytes_beyond_the_rank_table(monkeypatch, p, k, bound_mib):
     # the int8 rank table takes p^(2^k) bytes; everything else the search
-    # allocates at once (translation tables, int32 representatives, pull
+    # allocates at once (the translation table, int32 representatives, pull
     # blocks, closure chunks, the shift) must stay within a fixed budget on
     # top.  A pull adds at most 6 MiB to what is live before it: the int32
-    # halves of _PULL_CHUNK // 4 candidates (0.5 MiB), the table rows of one
-    # block of at most 64 generators (2.4 MiB at (3,4)) and its at most
-    # _PULL_CHUNK tests (1 MiB of int32 sums, half that for the uint16 gather
-    # and for the two masks)
+    # halves of _PULL_CHUNK // 4 candidates (0.5 MiB), the table rows that
+    # one half of a block of at most 64 generators copies (1.6 MiB at (3,4);
+    # the high rows are freed before the low ones are copied) and its at
+    # most _PULL_CHUNK tests (1 MiB of int32 sums, as much again for the
+    # gather of the low half, and half that for the two masks)
     peaks, pulls, real_pull = [], [], rank_strata._pull
 
     def pull(*args):
@@ -562,8 +564,9 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
     # one log in call order; a closure also keeps, as they were before the
     # call, the ranks of the codes it closes and of every representative
     calls, reps = [], None
-    # a pull gathers the high-table rows of a generator block, then takes
-    # the columns of its codes: each take records the pairs the block tests
+    # a pull gathers the table rows of each half of a generator block, then
+    # takes the columns of its codes: each take records the pairs the block
+    # tests
     pairs = []
 
     class Rows(np.ndarray):
@@ -771,7 +774,8 @@ def test_push_generators_are_one_per_stabilizer_orbit(monkeypatch, p, k):
 def test_push_sends_u2_zero_representatives_through_R_last(monkeypatch, push_factor):
     # each push translates its representatives in two passes: those with
     # u2 != 0 by every generator, then those with u2 = 0 by R only; the
-    # generators of a pass are read back from column 0 of its tables
+    # generators of a pass are read back from column 0 of the table, the
+    # high slice scaled by H
     if push_factor is not None:
         monkeypatch.setattr(rank_strata, "_PUSH_FACTOR", push_factor)
     pushes, real_push, real_translated = [], rank_strata._push, rank_strata._translated
@@ -780,10 +784,10 @@ def test_push_sends_u2_zero_representatives_through_R_last(monkeypatch, push_fac
         pushes.append((args[0], []))
         return real_push(*args)
 
-    def translated(frontier, TH, IH, TL, IL, H, rows):
+    def translated(frontier, T, IH, IL, H, rows):
         if pushes:
-            pushes[-1][1].append((frontier, (TH[IH, 0] + TL[IL, 0]).tolist(), H))
-        return real_translated(frontier, TH, IH, TL, IL, H, rows)
+            pushes[-1][1].append((frontier, (T[IH, 0] * H + T[IL, 0]).tolist(), H))
+        return real_translated(frontier, T, IH, IL, H, rows)
 
     monkeypatch.setattr(rank_strata, "_push", push)
     monkeypatch.setattr(rank_strata, "_translated", translated)

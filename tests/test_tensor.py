@@ -266,6 +266,18 @@ def test_parse_accepts_only_ascii_decimal_digits(bad):
             parse_literal(text, F11)
 
 
+@pytest.mark.parametrize("bad", ["c:1,2,,0,3", "c:0,1,1,1,", "c:,0,1,1,1", "0,0,0, ,0,0,0,0,1",
+                                 "0,0,0,0,0,0,0,1,"])
+def test_parse_rejects_empty_fields(bad):
+    # dropping an empty field would answer for a shorter literal: c:1,2,,0,3
+    # is no order-3 tensor; spaces alone, or beside commas, still separate
+    F5 = FieldSpec(5)
+    X = parse_literal("c:0,1,1,1", F5)
+    assert parse_literal("c:0, 1, 1, 1", F5) == parse_literal("c:0 1 1 1", F5) == X
+    with pytest.raises(ValueError, match="bad tensor literal digit"):
+        parse_literal(bad, F5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 4), st.lists(st.integers(0, 6), min_size=8, max_size=8))
 def test_literal_round_trip(which, digits):
