@@ -88,17 +88,3 @@ def classify(field, k, budget=DEFAULT_BUDGET):
         timing_seconds=time.perf_counter() - t0,
     )
 
-
-def verify_against_paper(report, fixtures_dir=None):
-    """Diff a classification against the stored reference table for (p, k).
-
-    Returns the discrepancy list: ERRATUM-SUSPECTED entries for table
-    rows failing the published counting identities (with the computed
-    replacement attached), MISMATCH entries where this artifact disagrees
-    with a self-consistent row.  Raises MissingFixtureError when no table
-    is stored for the parameters.
-    """
-    from . import report as report_mod
-
-    fixture = report_mod.load_fixture(report.p, report.order, fixtures_dir)
-    return report_mod.diff(report, fixture)

@@ -18,10 +18,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import AsymmetricTensorError, BudgetExceededError
-from .gfp import FieldSpec
-from .tensor import (SymTensor, Tensor, compact_encode, compact_from_full, compact_weights, decode,
-                     digits_of_codes, is_symmetric)
+from .errors import BudgetExceededError
+from .tensor import SymTensor, compact_encode, compact_from_full, compact_weights, decode, digits_of_codes
 
 DEFAULT_BUDGET = 10**8
 _MAX_CODES = 1 << 31  # orbit labels and translation tables hold int32 codes
@@ -31,29 +29,6 @@ def _refuse_oversized(space_name, size, budget):
     for limit, name in ((budget, "budget"), (_MAX_CODES, "int32 limit")):
         if size > limit:
             raise BudgetExceededError(f"{space_name} {size} exceeds the {name} of {limit} codes")
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An invertible 2x2 matrix over F_p."""
-
-    field: FieldSpec
-    m: tuple  # ((m11, m12), (m21, m22))
-
-    def __post_init__(self):
-        (a, b), (c, d) = self.m
-        for v in (a, b, c, d):
-            self.field.check(v)
-        if self.det() == 0:
-            raise ValueError(f"matrix is singular mod {self.field.p}: {self.m}")
-
-    def det(self):
-        (a, b), (c, d) = self.m
-        return (a * d - b * c) % self.field.p
-
-    @classmethod
-    def identity(cls, field):
-        return cls(field, ((1, 0), (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -69,47 +44,6 @@ def group_order(field):
     """|GL2(F_p)| = (p^2 - 1)(p^2 - p)."""
     p2 = field.p * field.p
     return (p2 - 1) * (p2 - field.p)
-
-
-def enumerate_gl2(field):
-    """All invertible 2x2 matrices, lexicographic in (m11, m12, m21, m22)."""
-    p = field.p
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p != 0:
-                        out.append(GroupElement(field, ((a, b), (c, d))))
-    return out
-
-
-def act(g, X, mode):
-    """Apply g along a single mode (1-based); other modes untouched."""
-    k = X.order
-    if not 1 <= mode <= k:
-        raise ValueError(f"mode must be in 1..{k}, got {mode}")
-    p = X.field.p
-    (g11, g12), (g21, g22) = g.m
-    bit = 1 << (k - mode)
-    out = list(X.entries)
-    for t in range(1 << k):
-        if t & bit:
-            continue
-        v1, v2 = X.entries[t], X.entries[t | bit]
-        out[t] = (g11 * v1 + g12 * v2) % p
-        out[t | bit] = (g21 * v1 + g22 * v2) % p
-    return Tensor(X.field, tuple(out))
-
-
-def act_diagonal(g, X):
-    """Apply g along every mode; maps symmetric tensors to symmetric tensors."""
-    if not is_symmetric(X):
-        raise AsymmetricTensorError("diagonal action is only used on symmetric tensors")
-    Y = X
-    for mode in range(1, X.order + 1):
-        Y = act(g, Y, mode)
-    return SymTensor(X.field, Y.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +131,3 @@ def stabilizer_size(X, budget=DEFAULT_BUDGET):
     """|stabilizer| via orbit-stabilizer: group order / orbit size."""
     return group_order(X.field) // orbit_codes(X, budget).size
 
-
-def count_stabilizer_directly(X):
-    """Count the group elements fixing X by applying every one of them,
-    one at a time with the scalar action."""
-    return sum(act_diagonal(g, X).entries == X.entries for g in enumerate_gl2(X.field))

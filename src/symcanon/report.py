@@ -30,6 +30,7 @@ repeated runs emit byte-identical documents.
 
 import json
 import os
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -170,8 +171,10 @@ def list_fixtures(directory=None):
     d = fixtures_dir(directory)
     out = []
     for path in d.glob("k*_p*.table"):
-        k_part, p_part = path.stem.split("_")
-        out.append((int(p_part[1:]), int(k_part[1:])))
+        match = re.fullmatch(r"k([1-9][0-9]*)_p([1-9][0-9]*)", path.stem)  # the names load_fixture opens
+        if match is None:
+            raise FixtureError(f"{path.name}: table names must read k<order>_p<prime>.table")
+        out.append((int(match[2]), int(match[1])))
     return sorted(out, key=lambda pk: (pk[1], pk[0]))
 
 
@@ -428,10 +431,6 @@ def emit(report, format="structured", include_timing=False):
     if format == "markdown":
         return _emit_markdown(report)
     return _emit_latex(report)
-
-
-def parse_structured(text):
-    return json.loads(text)
 
 
 def _emit_tabular(report):

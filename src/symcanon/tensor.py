@@ -28,8 +28,6 @@ from .gfp import FieldSpec
 
 SUPPORTED_ORDERS = (3, 4)
 
-SLICE_MODES = ("frontal", "vertical", "horizontal")
-
 
 def twos_counts(k):
     """Number of 2-subscripts at each flattened position (popcount pattern)."""
@@ -44,7 +42,7 @@ class Tensor:
     entries: tuple
 
     # equality is by value, so a SymTensor equals the plain Tensor with the
-    # same entries (flatten/unflatten round trips cross the two classes)
+    # same entries (decode returns a plain Tensor for every code)
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
@@ -65,17 +63,6 @@ class Tensor:
     def order(self):
         return len(self.entries).bit_length() - 1
 
-    def __getitem__(self, subscripts):
-        """Entry at a 1-based subscript tuple, e.g. X[1, 2, 2]."""
-        if len(subscripts) != self.order:
-            raise IndexError(f"expected {self.order} subscripts, got {len(subscripts)}")
-        t = 0
-        for i in subscripts:
-            if i not in (1, 2):
-                raise IndexError(f"subscripts must be 1 or 2, got {i}")
-            t = (t << 1) | (i - 1)
-        return self.entries[t]
-
 
 class SymTensor(Tensor):
     """Tensor invariant under every permutation of its subscripts."""
@@ -84,9 +71,6 @@ class SymTensor(Tensor):
         super().__post_init__()
         if not is_symmetric(self):
             raise AsymmetricTensorError(f"entries are not symmetric: {self.entries}")
-
-    def compact(self):
-        return compact_from_full(self)
 
 
 @dataclass(frozen=True)
@@ -109,19 +93,6 @@ class CompactSym:
 
     def full(self):
         return full_from_compact(self)
-
-
-def flatten(X):
-    """Entries in lexicographic subscript-tuple order (a tuple copy)."""
-    return tuple(X.entries)
-
-
-def unflatten(v, field, order=None):
-    """Inverse of flatten on its image; symmetry is not assumed."""
-    v = tuple(v)
-    if order is not None and len(v) != (1 << order):
-        raise ValueError(f"expected {1 << order} entries for order {order}, got {len(v)}")
-    return Tensor(field, v)
 
 
 def is_symmetric(Y):
@@ -171,33 +142,6 @@ def symmetric_outer_power(a, k, field):
     p = field.p
     coeffs = tuple(pow(a1, k - j, p) * pow(a2, j, p) % p for j in range(k + 1))
     return full_from_compact(CompactSym(field, k, coeffs))
-
-
-def slices(X, mode):
-    """The two 2x2 matrix slices of an order-3 tensor in the given mode.
-
-    frontal fixes the third subscript, vertical the second, horizontal the
-    first; matrices are laid out exactly as conventionally displayed:
-
-        frontal:    [[x111, x121], [x211, x221]], [[x112, x122], [x212, x222]]
-        vertical:   [[x111, x112], [x211, x212]], [[x121, x122], [x221, x222]]
-        horizontal: [[x111, x112], [x121, x122]], [[x211, x212], [x221, x222]]
-    """
-    if X.order != 3:
-        raise ValueError(f"slices are defined for order 3 only, got order {X.order}")
-    if mode == "frontal":
-        return tuple(
-            ((X[1, 1, s], X[1, 2, s]), (X[2, 1, s], X[2, 2, s])) for s in (1, 2)
-        )
-    if mode == "vertical":
-        return tuple(
-            ((X[1, s, 1], X[1, s, 2]), (X[2, s, 1], X[2, s, 2])) for s in (1, 2)
-        )
-    if mode == "horizontal":
-        return tuple(
-            ((X[s, 1, 1], X[s, 1, 2]), (X[s, 2, 1], X[s, 2, 2])) for s in (1, 2)
-        )
-    raise ValueError(f"unknown slice mode {mode!r}; expected one of {SLICE_MODES}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from symcanon import FieldSpec, classify, general_rank_strata, symmetric_rank_strata
+from symcanon import (AsymmetricTensorError, FieldSpec, SymTensor, Tensor, classify, general_rank_strata,
+                      is_symmetric, symmetric_rank_strata)
 from symcanon.tensor import digits_of_codes
 
 # every (p, k) with a stored reference table
@@ -67,3 +69,78 @@ def general_rank_k3(u1, u2, p):
         split = squares[(b * b - 4 * a * c) % p]
     zero = reduce(np.logical_and, [x == 0 for x in e])
     return np.select([zero, ones == 3, (ones > 0) | split], [0, 1, 2], 3).astype(np.int8)
+
+
+# ---------------------------------------------------------------------------
+# The GL2(F_p) action one matrix at a time: oracles for the orbit labels,
+# the action stack and the stabilizer sizes
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GroupElement:
+    """An invertible 2x2 matrix over F_p."""
+
+    field: FieldSpec
+    m: tuple  # ((m11, m12), (m21, m22))
+
+    def __post_init__(self):
+        (a, b), (c, d) = self.m
+        for v in (a, b, c, d):
+            self.field.check(v)
+        if self.det() == 0:
+            raise ValueError(f"matrix is singular mod {self.field.p}: {self.m}")
+
+    def det(self):
+        (a, b), (c, d) = self.m
+        return (a * d - b * c) % self.field.p
+
+    @classmethod
+    def identity(cls, field):
+        return cls(field, ((1, 0), (0, 1)))
+
+
+def enumerate_gl2(field):
+    """All invertible 2x2 matrices, lexicographic in (m11, m12, m21, m22)."""
+    p = field.p
+    out = []
+    for a in range(p):
+        for b in range(p):
+            for c in range(p):
+                for d in range(p):
+                    if (a * d - b * c) % p != 0:
+                        out.append(GroupElement(field, ((a, b), (c, d))))
+    return out
+
+
+def act(g, X, mode):
+    """Apply g along a single mode (1-based); other modes untouched."""
+    k = X.order
+    if not 1 <= mode <= k:
+        raise ValueError(f"mode must be in 1..{k}, got {mode}")
+    p = X.field.p
+    (g11, g12), (g21, g22) = g.m
+    bit = 1 << (k - mode)
+    out = list(X.entries)
+    for t in range(1 << k):
+        if t & bit:
+            continue
+        v1, v2 = X.entries[t], X.entries[t | bit]
+        out[t] = (g11 * v1 + g12 * v2) % p
+        out[t | bit] = (g21 * v1 + g22 * v2) % p
+    return Tensor(X.field, tuple(out))
+
+
+def act_diagonal(g, X):
+    """Apply g along every mode; maps symmetric tensors to symmetric tensors."""
+    if not is_symmetric(X):
+        raise AsymmetricTensorError("diagonal action is only used on symmetric tensors")
+    Y = X
+    for mode in range(1, X.order + 1):
+        Y = act(g, Y, mode)
+    return SymTensor(X.field, Y.entries)
+
+
+def count_stabilizer_directly(X):
+    """Count the group elements fixing X by applying every one of them,
+    one at a time with the scalar action."""
+    return sum(act_diagonal(g, X).entries == X.entries for g in enumerate_gl2(X.field))

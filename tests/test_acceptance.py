@@ -12,19 +12,18 @@ from symcanon import (
     classify,
     decode,
     decompose,
+    diff,
     emit,
     group_order,
     load_fixture,
     symmetric_outer_power,
     symmetric_rank,
-    verify_against_paper,
 )
-from symcanon.group_action import count_stabilizer_directly
 from symcanon.rank_strata import DEFAULT_BUDGET
 from symcanon.report import ERRATUM_SUSPECTED, MISMATCH, list_fixtures
 from symcanon.tensor import SymTensor, compact_decode
 
-from conftest import ALL_PAIRS, general_rank_k3
+from conftest import ALL_PAIRS, count_stabilizer_directly, general_rank_k3
 
 
 def criterion(num, desc, ok):
@@ -109,7 +108,7 @@ def test_criterion_4_orbit_inventories(classification_for):
 def test_criterion_5_errata_audit(classification_for):
     errata, mismatches = [], []
     for p, k in list_fixtures():
-        for d in verify_against_paper(classification_for(p, k)):
+        for d in diff(classification_for(p, k), load_fixture(p, k)):
             if d.classification == ERRATUM_SUSPECTED:
                 errata.append(d)
             elif d.classification == MISMATCH:

@@ -8,8 +8,6 @@ import pytest
 from symcanon import (
     CompactSym,
     FieldSpec,
-    GroupElement,
-    act_diagonal,
     canonical_form,
     classify,
     compact_from_full,
@@ -21,7 +19,7 @@ from symcanon import (
 from symcanon.group_action import action_stack, orbit_labels
 from symcanon.tensor import SymTensor
 
-from conftest import ALL_PAIRS
+from conftest import ALL_PAIRS, GroupElement, act_diagonal
 
 
 def test_classify_f3_records(classification_for):

@@ -1,8 +1,11 @@
 import json
+import shutil
+import time
 
 import pytest
 
 from symcanon.cli import main
+from symcanon.report import fixtures_dir
 
 
 def run(capsys, *argv):
@@ -21,6 +24,18 @@ def test_classify_rejects_composite_p(capsys):
     code, _, err = run(capsys, "classify", "--p", "4", "--order", "3")
     assert code == 2
     assert "prime" in err
+
+
+def test_huge_prime_is_refused_promptly(capsys):
+    # 2^61 - 1 is prime: the primality test answers at once, and the budget
+    # then refuses the space with exit 3; from 2^64 on the modulus is a
+    # usage error
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rank", "--p", str(2**61 - 1), "--tensor", "c:1,0,0,0")
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == "" and "budget" in err
+    code, out, err = run(capsys, "rank", "--p", str(2**64 + 13), "--tensor", "c:1,0,0,0")
+    assert code == 2 and out == "" and "2^64" in err
 
 
 def test_classify_budget_exit(capsys):
@@ -217,3 +232,13 @@ def test_verify_paper_all(capsys):
     assert out.count("reproduced exactly") == 7  # the seven fully consistent tables
     assert out.count("ERRATUM-SUSPECTED") == 5
     assert "MISMATCH" not in out
+
+
+@pytest.mark.parametrize("name", ["k3_p5_old.table", "kx_p5.table", "k03_p5.table"])
+def test_verify_paper_all_names_a_stray_table(tmp_path, capsys, name):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(fixtures_dir(), fixtures)
+    shutil.copy(fixtures / "k3_p5.table", fixtures / name)
+    code, out, err = run(capsys, "verify-paper", "--all", "--fixtures", str(fixtures))
+    assert code == 2 and out == ""
+    assert err == f"error: {name}: table names must read k<order>_p<prime>.table\n"

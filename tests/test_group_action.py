@@ -6,16 +6,11 @@ from symcanon import (
     AsymmetricTensorError,
     CompactSym,
     FieldSpec,
-    GroupElement,
     Tensor,
-    act,
-    act_diagonal,
     canonical_form,
     compact_from_full,
-    count_stabilizer_directly,
     decode,
     encode,
-    enumerate_gl2,
     full_from_compact,
     group_order,
     is_symmetric,
@@ -24,6 +19,8 @@ from symcanon import (
 )
 from symcanon.group_action import _generators, action_stack, orbit_labels
 from symcanon.tensor import compact_decode, compact_encode
+
+from conftest import GroupElement, act, act_diagonal, count_stabilizer_directly, enumerate_gl2
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)

@@ -1,0 +1,68 @@
+"""The package exports what its commands, `classify` and the report path use;
+code that only the tests need lives in the tests."""
+
+import ast
+import importlib
+import re
+import types
+from pathlib import Path
+
+import pytest
+
+import symcanon
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (module, name) pairs that left the package; the GL2 oracles moved to conftest
+GONE = [
+    ("classify", "verify_against_paper"),
+    ("report", "parse_structured"),
+    ("tensor", "flatten"),
+    ("tensor", "unflatten"),
+    ("tensor", "slices"),
+    ("tensor", "SLICE_MODES"),
+    ("group_action", "GroupElement"),
+    ("group_action", "enumerate_gl2"),
+    ("group_action", "act"),
+    ("group_action", "act_diagonal"),
+    ("group_action", "count_stabilizer_directly"),
+]
+FORMS = ["BinaryForm", "tensor_to_form", "eval_form", "form_kernel_dimension", "waring_rank_check"]
+
+# what the command line and the benchmark call
+USED = ["classify", "FieldSpec", "general_rank_strata", "symmetric_rank_strata", "symmetric_rank",
+        "decompose", "orbit", "stabilizer_size", "canonical_form", "emit", "diff", "load_fixture"]
+
+
+def test_deleted_and_moved_names_are_gone():
+    for module, name in GONE:
+        assert not hasattr(importlib.import_module(f"symcanon.{module}"), name), name
+    for name in [n for _, n in GONE] + FORMS:
+        assert not hasattr(symcanon, name), name
+    for name in ("add", "sub", "mul", "inv", "pow", "elements"):
+        assert not hasattr(symcanon.FieldSpec, name), name
+    assert not hasattr(symcanon.Tensor, "__getitem__")
+    assert not hasattr(symcanon.SymTensor, "compact")
+
+
+def test_forms_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("symcanon.forms")
+
+
+def test_all_resolves_and_holds_no_module():
+    assert len(set(symcanon.__all__)) == len(symcanon.__all__)
+    namespace = {}
+    exec("from symcanon import *", namespace)
+    for name in symcanon.__all__:
+        assert not isinstance(getattr(symcanon, name), types.ModuleType), name
+        assert namespace[name] is getattr(symcanon, name)
+    assert set(USED) <= set(symcanon.__all__)
+
+
+def test_readme_library_block_imports_exported_names():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S)[1]
+    names = [alias.name for node in ast.walk(ast.parse(block))
+             if isinstance(node, ast.ImportFrom) and node.module == "symcanon" for alias in node.names]
+    assert names and set(names) <= set(symcanon.__all__)

@@ -21,12 +21,9 @@ from symcanon import (
     FieldSpec,
     Tensor,
     UndecomposableError,
-    act,
-    act_diagonal,
     decode,
     decompose,
     encode,
-    enumerate_gl2,
     full_from_compact,
     general_rank_strata,
     symmetric_outer_power,
@@ -37,7 +34,7 @@ from symcanon import rank_strata
 from symcanon.rank_strata import rank_one_generators
 from symcanon.tensor import compact_decode, compact_encode, compact_from_full
 
-from conftest import ALL_PAIRS, general_rank_k3
+from conftest import ALL_PAIRS, act, act_diagonal, enumerate_gl2, general_rank_k3
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)

@@ -12,15 +12,13 @@ from symcanon import (
     compact_from_full,
     decode,
     encode,
-    flatten,
     format_literal,
     full_from_compact,
     is_symmetric,
     parse_literal,
-    slices,
     symmetric_outer_power,
-    unflatten,
 )
+from symcanon.tensor import twos_counts
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -32,47 +30,37 @@ def sym(field, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# flatten / unflatten
+# flatten order
 # ---------------------------------------------------------------------------
 
 def test_flatten_zero():
-    assert flatten(sym(F2, (0, 0, 0, 0))) == (0,) * 8
+    assert sym(F2, (0, 0, 0, 0)).entries == (0,) * 8
 
 
 def test_flatten_last_entry_only():
     # reference-table rank-1 row over F_2
-    assert flatten(sym(F2, (0, 0, 0, 1))) == (0, 0, 0, 0, 0, 0, 0, 1)
+    assert sym(F2, (0, 0, 0, 1)).entries == (0, 0, 0, 0, 0, 0, 0, 1)
 
 
 def test_flatten_order3_c_class():
     # rank-3 row of the F_3 table, shown in slice form in the source
-    assert flatten(sym(F3, (0, 0, 1, 0))) == (0, 0, 0, 1, 0, 1, 1, 0)
-
-
-def test_unflatten_round_trip_exhaustive_f2():
-    for code in range(2**8):
-        X = decode(code, F2, 3)
-        assert unflatten(flatten(X), F2, 3) == X
+    assert sym(F3, (0, 0, 1, 0)).entries == (0, 0, 0, 1, 0, 1, 1, 0)
 
 
 def test_round_trip_crosses_symmetric_subclass():
     X = sym(F3, (0, 1, 0, 2))
-    assert unflatten(flatten(X), F3, 3) == X
-    assert hash(unflatten(flatten(X), F3, 3)) == hash(X)
+    assert type(decode(encode(X), F3, 3)) is Tensor
+    assert decode(encode(X), F3, 3) == X
+    assert hash(decode(encode(X), F3, 3)) == hash(X)
 
 
-def test_unflatten_order4_positions():
+def test_flatten_order4_positions():
     v = [0] * 16
-    for pos in (1, 2, 4, 8):  # the four tuples with a single 2-subscript
+    for pos in (1, 2, 4, 8):  # x1112, x1121, x1211, x2111: one 2-subscript each
         v[pos] = 1
-    X = unflatten(v, F2, 4)
-    assert X[1, 1, 1, 2] == X[1, 1, 2, 1] == X[1, 2, 1, 1] == X[2, 1, 1, 1] == 1
-    assert sum(X.entries) == 4
-
-
-def test_unflatten_length_mismatch():
-    with pytest.raises(ValueError):
-        unflatten([0] * 8, F2, 4)
+    X = Tensor(F2, tuple(v))
+    assert [t for t, x in enumerate(X.entries) if x] == [t for t, j in enumerate(twos_counts(4)) if j == 1]
+    assert compact_from_full(X).coeffs == (0, 1, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +121,7 @@ def test_symmetric_space_sizes():
 
 def test_compact_order4_example():
     # rank-8 row of the order-4 F_3 table has this support pattern
-    assert flatten(sym(F3, (0, 0, 1, 0, 0))) == (
+    assert sym(F3, (0, 0, 1, 0, 0)).entries == (
         0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 0)
 
 
@@ -154,11 +142,11 @@ def test_symtensor_constructor_validates():
 # ---------------------------------------------------------------------------
 
 def test_outer_power_e1():
-    assert flatten(symmetric_outer_power((1, 0), 3, F2)) == (1, 0, 0, 0, 0, 0, 0, 0)
+    assert symmetric_outer_power((1, 0), 3, F2).entries == (1, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_outer_power_all_ones():
-    assert flatten(symmetric_outer_power((1, 1), 3, F2)) == (1,) * 8
+    assert symmetric_outer_power((1, 1), 3, F2).entries == (1,) * 8
 
 
 def test_outer_power_f5():
@@ -169,34 +157,6 @@ def test_outer_power_f5():
 def test_outer_power_rejects_zero_vector():
     with pytest.raises(ValueError):
         symmetric_outer_power((0, 0), 3, F2)
-
-
-# ---------------------------------------------------------------------------
-# slices
-# ---------------------------------------------------------------------------
-
-def test_frontal_slices_compact_labels():
-    X = sym(F5, (1, 2, 3, 4))
-    assert slices(X, "frontal") == (((1, 2), (2, 3)), ((2, 3), (3, 4)))
-
-
-def test_all_slices_of_zero():
-    X = sym(F3, (0, 0, 0, 0))
-    for mode in ("frontal", "vertical", "horizontal"):
-        assert slices(X, mode) == (((0, 0), (0, 0)), ((0, 0), (0, 0)))
-
-
-def test_horizontal_slices():
-    X = sym(F2, (1, 0, 0, 1))
-    assert slices(X, "horizontal") == (((1, 0), (0, 0)), ((0, 0), (0, 1)))
-
-
-def test_slices_rejected_for_order4():
-    X = sym(F2, (0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        slices(X, "frontal")
-    with pytest.raises(ValueError):
-        slices(sym(F2, (1, 0, 0, 1)), "sideways")
 
 
 # ---------------------------------------------------------------------------
