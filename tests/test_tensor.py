@@ -47,6 +47,14 @@ def test_flatten_order3_c_class():
     assert sym(F3, (0, 0, 1, 0)).entries == (0, 0, 0, 1, 0, 1, 1, 0)
 
 
+def test_unflatten_round_trip_exhaustive_f2():
+    # a tensor rebuilt from its flat entries is the same tensor, with the same code
+    for code in range(2**8):
+        X = decode(code, F2, 3)
+        assert Tensor(F2, tuple(list(X.entries))) == X
+        assert encode(Tensor(F2, X.entries)) == code
+
+
 def test_round_trip_crosses_symmetric_subclass():
     X = sym(F3, (0, 1, 0, 2))
     assert type(decode(encode(X), F3, 3)) is Tensor
@@ -54,13 +62,22 @@ def test_round_trip_crosses_symmetric_subclass():
     assert hash(decode(encode(X), F3, 3)) == hash(X)
 
 
-def test_flatten_order4_positions():
+def test_unflatten_order4_positions():
     v = [0] * 16
     for pos in (1, 2, 4, 8):  # x1112, x1121, x1211, x2111: one 2-subscript each
         v[pos] = 1
     X = Tensor(F2, tuple(v))
     assert [t for t, x in enumerate(X.entries) if x] == [t for t, j in enumerate(twos_counts(4)) if j == 1]
     assert compact_from_full(X).coeffs == (0, 1, 0, 0, 0)
+
+
+def test_unflatten_length_mismatch():
+    # flat entries must number 2^k with k >= 2, and a literal must match the order asked for
+    for n in (0, 2, 6, 12):
+        with pytest.raises(ValueError, match="2\\^k"):
+            Tensor(F2, (0,) * n)
+    with pytest.raises(ValueError, match="expected 4"):
+        parse_literal(" ".join("0" * 8), F2, order=4)
 
 
 # ---------------------------------------------------------------------------
