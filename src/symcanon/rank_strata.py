@@ -56,8 +56,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, partial, reduce
 from itertools import product
 
-import numpy as np
-
+from ._numpy import np
 from .errors import AsymmetricTensorError, UndecomposableError
 from .gfp import FieldSpec
 from .group_action import DEFAULT_BUDGET, _refuse_oversized, action_stack, orbit_labels
@@ -99,9 +98,9 @@ class RankStratification:
     field: FieldSpec
     order: int
     generator_vectors: list      # vector per generator, BFS tie-break order
-    _rank_of: np.ndarray = dataclass_field(repr=False, default=None)
-    _gen_codes: np.ndarray = dataclass_field(repr=False, default=None)  # compact, per generator
-    _labels: np.ndarray = dataclass_field(repr=False, default=None)  # orbit_labels of the space
+    _rank_of: "np.ndarray" = dataclass_field(repr=False, default=None)
+    _gen_codes: "np.ndarray" = dataclass_field(repr=False, default=None)  # compact, per generator
+    _labels: "np.ndarray" = dataclass_field(repr=False, default=None)  # orbit_labels of the space
 
     @cached_property
     def _counts(self):  # [undecomposable, rank 0, rank 1, ...]
@@ -315,7 +314,7 @@ class GeneralRankStratification:
     field: FieldSpec
     order: int
     sizes: list
-    _rank_of: np.ndarray = dataclass_field(repr=False, default=None)
+    _rank_of: "np.ndarray" = dataclass_field(repr=False, default=None)
 
     @property
     def max_rank(self):

@@ -20,9 +20,9 @@ lexicographic order on flattened vectors.
 """
 
 from dataclasses import dataclass
+from numbers import Integral  # int and numpy's integer scalars
 
-import numpy as np
-
+from ._numpy import np
 from .errors import AsymmetricTensorError
 from .gfp import FieldSpec
 
@@ -161,7 +161,7 @@ def decode(code, field, order):
     """Inverse of encode; returns a Tensor (symmetry not assumed)."""
     p = field.p
     n = 1 << order
-    if not isinstance(code, (int, np.integer)) or not 0 <= code < p**n:
+    if not isinstance(code, Integral) or not 0 <= code < p**n:
         raise ValueError(f"code out of range for p={p}, order {order}: {code!r}")
     code = int(code)
     digits = [0] * n
@@ -186,7 +186,7 @@ def compact_encode(c):
 
 def compact_decode(code, field, order):
     p = field.p
-    if not isinstance(code, (int, np.integer)) or not 0 <= code < p ** (order + 1):
+    if not isinstance(code, Integral) or not 0 <= code < p ** (order + 1):
         raise ValueError(f"compact code out of range for p={p}, order {order}: {code!r}")
     code = int(code)
     coeffs = [0] * (order + 1)

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symcanon
 from symcanon import (AsymmetricTensorError, FieldSpec, SymTensor, Tensor, classify, general_rank_strata,
                       is_symmetric, symmetric_rank_strata)
 from symcanon.tensor import digits_of_codes
@@ -12,6 +17,14 @@ from symcanon.tensor import digits_of_codes
 # every (p, k) with a stored reference table
 ALL_PAIRS = [(2, 3), (3, 3), (5, 3), (7, 3), (11, 3), (13, 3), (17, 3),
              (2, 4), (3, 4), (5, 4), (7, 4)]
+
+
+def run_python(*args):
+    """Stdout of a fresh interpreter that imports this symcanon."""
+    path = [str(Path(symcanon.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 def _memoized(compute):

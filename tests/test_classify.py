@@ -19,7 +19,7 @@ from symcanon import (
 from symcanon.group_action import action_stack, orbit_labels
 from symcanon.tensor import SymTensor
 
-from conftest import ALL_PAIRS, GroupElement, act_diagonal
+from conftest import ALL_PAIRS, GroupElement, act_diagonal, run_python
 
 
 def test_classify_f3_records(classification_for):
@@ -193,3 +193,24 @@ def test_orbit_path_bytes():
         finally:
             tracemalloc.stop()
     assert peaks[0] < 5 << 20 and peaks[1] < 5 << 20, [peak / 2**20 for peak in peaks]
+
+
+def test_timing_starts_after_numpy_is_loaded():
+    # the package loads numpy on first use; the first classify of a fresh
+    # process must not time numpy's import, so numpy.linalg, which numpy's
+    # __init__ imports, is loaded when classify first reads the clock
+    script = """
+import sys, time
+import symcanon
+seen, clock = ["numpy.linalg" in sys.modules], time.perf_counter
+
+def perf_counter():
+    if len(seen) == 1 and sys._getframe(1).f_code.co_name == "classify":
+        seen.append("numpy.linalg" in sys.modules)
+    return clock()
+
+sys.modules["symcanon.classify"].time.perf_counter = perf_counter
+symcanon.classify(symcanon.FieldSpec(3), 3)
+print(seen)
+"""
+    assert run_python("-c", script).strip() == "[False, True]"

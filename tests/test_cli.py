@@ -7,6 +7,8 @@ import pytest
 from symcanon.cli import main
 from symcanon.report import fixtures_dir
 
+from conftest import run_python
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -199,9 +201,9 @@ def test_budget_env_override(capsys, monkeypatch):
 
 
 def test_orbit_queries_honour_the_budget(capsys, monkeypatch):
-    # the orbit labels cover all p^(k+1) codes, so canon, orbit and
-    # stabilizer refuse an oversized space as rank does, by flag or by
-    # environment
+    # canon, orbit and stabilizer scan all |GL2| group elements, so they
+    # refuse an oversized group as rank refuses an oversized space, by flag
+    # or by environment
     query = ["--p", "17", "--order", "3", "--tensor", "c:1,0,0,1"]
     for command in ("canon", "orbit", "stabilizer"):
         code, out, err = run(capsys, command, *query, "--budget", "10")
@@ -210,6 +212,31 @@ def test_orbit_queries_honour_the_budget(capsys, monkeypatch):
     for command in ("canon", "orbit", "stabilizer"):
         code, out, err = run(capsys, command, *query)
         assert code == 3 and out == "" and "budget of 10 codes" in err, command
+
+
+def test_orbit_queries_count_the_group_not_the_space(capsys):
+    # at p = 17 the space holds 83 521 codes and GL2 78 336 elements
+    query = ["--p", "17", "--order", "3", "--tensor", "c:1,0,0,1", "--budget"]
+    for command, answer in (("canon", "0,1,1,0,1,0,0,1"), ("orbit", "39168"), ("stabilizer", "2")):
+        assert run(capsys, command, *query, "80000") == (0, answer + "\n", ""), command
+        code, out, err = run(capsys, command, *query, "78335")
+        assert code == 3 and out == "" and "78336 exceeds the budget of 78335 codes" in err, command
+
+
+def test_orbit_queries_never_load_numpy():
+    # numpy's own __init__ imports numpy.linalg, on 1.24 and 2.x alike, so
+    # its absence means numpy was never loaded; rank labels the space with it
+    script = """
+import sys
+import symcanon, symcanon.cli
+for command in ("canon", "orbit", "stabilizer"):
+    for p, k, tensor in (("17", "3", "c:1,2,3,4"), ("7", "4", "c:1,2,3,4,5")):
+        assert symcanon.cli.main([command, "--p", p, "--order", k, "--tensor", tensor]) == 0
+loaded = ["numpy.linalg" in sys.modules]
+symcanon.cli.main(["rank", "--p", "7", "--order", "4", "--tensor", "c:1,2,3,4,5"])
+print(loaded + ["numpy.linalg" in sys.modules])
+"""
+    assert run_python("-c", script).splitlines()[-1] == "[False, True]"
 
 
 def test_budget_env_unparsable(capsys, monkeypatch):

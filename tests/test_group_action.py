@@ -18,9 +18,9 @@ from symcanon import (
     stabilizer_size,
 )
 from symcanon.group_action import _generators, action_stack, orbit_labels
-from symcanon.tensor import compact_decode, compact_encode
+from symcanon.tensor import compact_decode, compact_encode, compact_weights, digits_of_codes
 
-from conftest import GroupElement, act, act_diagonal, count_stabilizer_directly, enumerate_gl2
+from conftest import ALL_PAIRS, GroupElement, act, act_diagonal, count_stabilizer_directly, enumerate_gl2
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -185,6 +185,16 @@ def test_orbit_matches_pure_python_enumeration():
         assert orb.size == len(direct)
 
 
+def test_orbit_codes_are_exact_past_int64():
+    # full codes at p = 17, k = 4 reach 17^16 > 2^63
+    f = FieldSpec(17)
+    X = sym(f, (16, 2, 3, 4, 5))
+    orb = orbit(X)
+    assert encode(X) in orb.members and encode(X) >= 2**63
+    assert len(orb.members) == orb.size == 19584
+    assert orb.canonical == orb.members[0] == encode(canonical_form(X))
+
+
 def test_canonical_form_examples():
     assert canonical_form(sym(F3, (0, 0, 0, 0))).entries == (0,) * 8
     # any rank-2 tensor over F_5 lands on the table's rank-2 canonical
@@ -302,3 +312,51 @@ def test_orbit_labels_jump_along_a_long_cycle(monkeypatch):
     lab = orbit_labels(S[None], p)
     assert lab[0] == 0 and (lab[1:] == 1).all()
     assert 0 < len(rounds) <= 33, len(rounds)
+
+
+# ---------------------------------------------------------------------------
+# the one-orbit scan against the whole-space orbit labels
+# ---------------------------------------------------------------------------
+
+def _label_classes(p, k):
+    """The orbit labels of the space, the size of each label's class and
+    the full code of every compact code."""
+    lab = orbit_labels(action_stack(FieldSpec(p), k), p)
+    full = digits_of_codes(np.arange(lab.size), p, k + 1) @ compact_weights(p, k)
+    return lab, np.bincount(lab, minlength=lab.size), full
+
+
+def _assert_scan_agrees(p, k, codes):
+    f = FieldSpec(p)
+    lab, counts, full = _label_classes(p, k)
+    for code in codes(lab):
+        X = compact_decode(code, f, k).full()
+        orb = orbit(X)
+        assert encode(canonical_form(X)) == orb.canonical == full[lab[code]], (p, k, code)
+        assert orb.size == counts[lab[code]], (p, k, code)
+        assert stabilizer_size(X) * orb.size == group_order(f), (p, k, code)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_scan_agrees_with_orbit_labels_on_every_code(p, k):
+    _assert_scan_agrees(p, k, lambda lab: range(lab.size))
+
+
+@pytest.mark.parametrize("p,k", ALL_PAIRS + [(19, 3)])
+def test_scan_agrees_with_orbit_labels_on_every_orbit(p, k):
+    # every canonical form, and the largest code of each orbit of two or more
+    def canonical_and_largest(lab):
+        labels, last = np.unique(lab[::-1], return_index=True)
+        return sorted(set(labels.tolist()) | set((lab.size - 1 - last).tolist()))
+
+    _assert_scan_agrees(p, k, canonical_and_largest)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 3), (5, 3), (2, 4), (3, 4)])
+def test_orbit_members_are_the_label_class(p, k):
+    f = FieldSpec(p)
+    lab, counts, full = _label_classes(p, k)
+    labels, last = np.unique(lab[::-1], return_index=True)
+    for label, code in zip(labels.tolist(), (lab.size - 1 - last).tolist()):
+        members = orbit(compact_decode(code, f, k).full()).members
+        assert members == tuple(full[lab == label].tolist()), (p, k, label)

@@ -1,19 +1,14 @@
 import hashlib
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import symcanon
 from symcanon import (
     AsymmetricTensorError,
     BudgetExceededError,
@@ -34,7 +29,7 @@ from symcanon import rank_strata
 from symcanon.rank_strata import rank_one_generators
 from symcanon.tensor import compact_decode, compact_encode, compact_from_full
 
-from conftest import ALL_PAIRS, act, act_diagonal, enumerate_gl2, general_rank_k3
+from conftest import ALL_PAIRS, act, act_diagonal, enumerate_gl2, general_rank_k3, run_python
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -401,14 +396,6 @@ def test_decompose_rejects_corrupt_parent_link():
         decompose(X, s)
     with pytest.raises(AssertionError, match="no predecessor one rank lower"):
         s.parent_of(X)
-
-
-def run_python(*args):
-    """Stdout of a fresh interpreter that imports this symcanon."""
-    path = [str(Path(symcanon.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, check=True).stdout
 
 
 def test_corrupt_parent_link_detected_under_python_O():
@@ -856,10 +843,13 @@ def test_import_does_not_load_scipy():
 def test_hot_paths_import_nothing_lazily():
     # a module first imported inside a search (numpy.ma, by a plain np.unique
     # on numpy 2) costs every fresh process; numpy 1.24 imports numpy.ma
-    # with numpy, so only new modules count
+    # with numpy, so only new modules count.  The package loads numpy on
+    # first use, so numpy's own import is forced before the baseline
     script = """
 import sys
 from symcanon import FieldSpec, classify, decompose, general_rank_strata, symmetric_outer_power, symmetric_rank_strata
+import numpy
+numpy.ndarray
 before = set(sys.modules)
 f = FieldSpec(2)
 general_rank_strata(f, 3)

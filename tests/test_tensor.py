@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,7 @@ from symcanon import (
     parse_literal,
     symmetric_outer_power,
 )
-from symcanon.tensor import twos_counts
+from symcanon.tensor import compact_decode, twos_counts
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -191,6 +192,17 @@ def test_code_out_of_range():
         decode(2**8, F2, 3)
     with pytest.raises(ValueError):
         decode(-1, F2, 3)
+
+
+def test_codes_are_integers_of_any_integer_type():
+    # numpy's integer scalars are numbers.Integral; floats are not codes
+    assert decode(np.int64(1), F2, 3).entries == (0, 0, 0, 0, 0, 0, 0, 1)
+    assert compact_decode(np.int32(5), F3, 3).coeffs == (0, 0, 1, 2)
+    for bad in (1.0, np.float64(1)):
+        with pytest.raises(ValueError):
+            decode(bad, F2, 3)
+        with pytest.raises(ValueError):
+            compact_decode(bad, F2, 3)
 
 
 def test_code_order_agrees_with_lex_order():
