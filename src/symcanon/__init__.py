@@ -9,6 +9,7 @@ and audits the stored reference tables.
 from types import ModuleType as _ModuleType
 
 from ._version import __version__
+from .apolar import decompose, symmetric_rank
 from .classify import ClassificationReport, OrbitRecord, classify
 from .errors import (
     AsymmetricTensorError,
@@ -25,9 +26,7 @@ from .rank_strata import (
     GeneralRankStratification,
     RankStratification,
     Witness,
-    decompose,
     general_rank_strata,
-    symmetric_rank,
     symmetric_rank_strata,
 )
 from .report import Discrepancy, diff, emit, load_fixture

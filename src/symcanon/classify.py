@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 from ._numpy import np
-from .group_action import DEFAULT_BUDGET, action_stack, group_order
+from .group_action import DEFAULT_BUDGET, _full_code, action_stack, group_order
 from .rank_strata import symmetric_rank_strata
-from .tensor import compact_weights, digits_of_codes, twos_counts
+from .tensor import digits_of_codes, twos_counts
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def classify(field, k, budget=DEFAULT_BUDGET):
     canon = np.flatnonzero(counts)  # the labels, i.e. the codes labelled by themselves
     sizes, ranks = counts[canon], rank_of[canon]
     digits = digits_of_codes(canon, p, k + 1)
-    full_codes = digits @ compact_weights(p, k)
+    full_codes = list(map(_full_code(p, k), digits.tolist()))  # p^16 passes int64 from p = 17
     entries = digits[:, list(twos_counts(k))]
     n_group = group_order(field)
     # canonical codes ascend, so a stable sort by rank (-1 first) orders the records
@@ -70,7 +70,7 @@ def classify(field, k, budget=DEFAULT_BUDGET):
         OrbitRecord(
             rank=None if ranks[i] < 0 else int(ranks[i]),
             canonical=tuple(int(v) for v in entries[i]),
-            canonical_code=int(full_codes[i]),
+            canonical_code=full_codes[i],
             orbit_size=int(sizes[i]),
             stabilizer_size=n_group // int(sizes[i]),
         )

@@ -6,8 +6,9 @@ order (length 8 or 16), or compact literals `c:` + k+1 digits.
 
 Exit codes: 0 success; 1 verify-paper found a MISMATCH; 2 invalid
 arguments, parse or symmetry failure, missing or malformed fixture, or an
-unreadable or unwritable file; 3 code-set budget exceeded; 4 the queried
-tensor has no symmetric decomposition.
+unreadable or unwritable file; 3 budget exceeded (a whole-space command's
+codes, a query's solves or group elements); 4 the queried tensor has no
+symmetric decomposition.
 
 Environment: SYMCANON_BUDGET overrides the default code-set ceiling and
 SYMCANON_FIXTURES the fixture directory; explicit flags win.
@@ -26,13 +27,9 @@ from .errors import (
     UndecomposableError,
 )
 from .gfp import FieldSpec
+from .apolar import decompose, symmetric_rank
 from .group_action import group_order, orbit, stabilizer_size
-from .rank_strata import (
-    DEFAULT_BUDGET,
-    decompose,
-    symmetric_rank,
-    symmetric_rank_strata,
-)
+from .rank_strata import DEFAULT_BUDGET, symmetric_rank_strata
 from .tensor import (
     SUPPORTED_ORDERS,
     SymTensor,
@@ -194,16 +191,18 @@ def _run_query(args):
         print(stabilizer_size(X, budget))
         return EXIT_OK
 
-    strata = symmetric_rank_strata(field, X.order, budget)
-    r = symmetric_rank(X, strata)
-    if r is None:
-        raise UndecomposableError(format_literal(X))
     if args.command == "rank":
+        r = symmetric_rank(X, budget)
+        if r is None:
+            raise UndecomposableError(format_literal(X))
         print(r)
         return EXIT_OK
 
     # decompose re-sums the witness itself and raises on a mismatch
-    witness = decompose(X, strata)
+    try:
+        witness = decompose(X, budget)
+    except UndecomposableError:
+        raise UndecomposableError(format_literal(X)) from None
     for v in witness.vectors:
         print(f"{v[0]},{v[1]}")
     print(f"re-evaluated sum of {len(witness.vectors)} outer powers: matches input")

@@ -13,8 +13,8 @@ search on the orbit labels (`orbit_labels`; 6 to 52 orbits on the stored
 pairs), adding the k+1 class coefficients digit-wise, and each code takes
 the rank of its label.  No parent links are stored: the derivation of a
 code c of rank r is the least pred * G + gen with pred = c - generator
-gen of rank r - 1, derived on demand.  Generators are ordered by their
-least generating vector, so witnesses are reproducible.
+gen of rank r - 1.  Generators are ordered by their least generating
+vector, so witnesses are reproducible.
 
 General strata run on full codes u1 * p^m + u2, m = 2^(k-1), whose two
 m-digit slices u1, u2 are the mode-1 slices X1 and X2, and keep only
@@ -57,23 +57,12 @@ from functools import cached_property, partial, reduce
 from itertools import product
 
 from ._numpy import np
-from .errors import AsymmetricTensorError, UndecomposableError
 from .gfp import FieldSpec
 from .group_action import DEFAULT_BUDGET, _refuse_oversized, action_stack, orbit_labels
-from .tensor import (
-    compact_decode,
-    compact_encode,
-    compact_from_full,
-    compact_weights,
-    digits_of_codes,
-    encode,
-    full_place_values,
-    is_symmetric,
-    symmetric_outer_power,
-)
+from .tensor import compact_weights, digits_of_codes, encode, full_place_values
 
 # a layer pushes iff |frontier| * G <= _PUSH_FACTOR * |unranked|; each
-# temporary of a pass or a parent lookup holds about _PULL_CHUNK entries
+# temporary of a pass holds about _PULL_CHUNK entries
 _PUSH_FACTOR = 10
 _PULL_CHUNK = 1 << 18
 
@@ -91,8 +80,7 @@ class RankStratification:
 
     Ranks, orbit labels and generator codes are kept on compact codes.
     The full-code lists, strata[r] (the codes of rank r) and
-    undecomposable (those never reached), are built on first access;
-    parent_of and decompose derive the least derivation on demand.
+    undecomposable (those never reached), are built on first access.
     """
 
     field: FieldSpec
@@ -127,37 +115,11 @@ class RankStratification:
         return self._full_codes()[self._rank_of < 0]
 
     def _full_codes(self):  # ascending, as compact codes are
+        if self.field.p ** (1 << self.order) > 1 << 63:
+            raise OverflowError(f"full codes at p={self.field.p}, order {self.order} "
+                                "pass the int64 limit of 2^63")
         weights = compact_weights(self.field.p, self.order)
         return reduce(np.add.outer, np.arange(self.field.p) * weights[:, None]).ravel()
-
-    def rank_of_compact_code(self, code):
-        r = int(self._rank_of[code])
-        return None if r < 0 else r
-
-    def parent_of(self, X):
-        """The least derivation: (predecessor SymTensor, generator vector).
-
-        None for the zero tensor; errors on undecomposable input.
-        """
-        code = _compact_code_of(X, self)
-        if code == 0:
-            return None
-        if self._rank_of[code] < 0:
-            raise UndecomposableError("tensor has no symmetric decomposition")
-        pred, gen = _parents(self, np.array([code]))
-        pred = compact_decode(int(pred[0]), self.field, self.order).full()
-        return pred, self.generator_vectors[int(gen[0])]
-
-
-def _compact_code_of(X, s):
-    if X.field != s.field or X.order != s.order:
-        raise ValueError(
-            f"tensor is over p={X.field.p}, order {X.order}; "
-            f"stratification is for p={s.field.p}, order {s.order}"
-        )
-    if not is_symmetric(X):
-        raise AsymmetricTensorError("symmetric rank is defined for symmetric tensors")
-    return compact_encode(compact_from_full(X))
 
 
 def rank_one_generators(field, k):
@@ -234,64 +196,6 @@ def _translated(frontier, T, IH, IL, H, rows):
         block = max(1, rows // hi.shape[1])
         for g in range(0, IH.size, block):
             yield hi[IH[g : g + block]] + lo[IL[g : g + block]]
-
-
-def _parents(s, codes):
-    """Least derivation (pred, gen) of each code of rank >= 1, as arrays.
-
-    pred = code - generator gen has rank one lower, and pred * G + gen is
-    least among all such pairs.  pred is summed digit by digit in int32:
-    minus[j, a, g] is (a - digit j of g) at place j.  Codes come in chunks
-    of _PULL_CHUNK // G, so a chunk holds at most _PULL_CHUNK pairs.
-    """
-    p, width, G = s.field.p, s.order + 1, s._gen_codes.size
-    gen_digits = digits_of_codes(s._gen_codes, p, width).T[:, None]
-    place = p ** np.arange(width - 1, -1, -1)[:, None, None]
-    minus = ((np.arange(p)[:, None] - gen_digits) % p * place).astype(np.int32)
-    sentinel = np.iinfo(np.int64).max
-    best = np.empty(codes.size, dtype=np.int64)
-    chunk = max(1, _PULL_CHUNK // G)
-    for start in range(0, codes.size, chunk):
-        c = codes[start : start + chunk]
-        preds = sum(m[d] for m, d in zip(minus, digits_of_codes(c, p, width).T))
-        keys = preds * np.int64(G) + np.arange(G)
-        keys[s._rank_of[preds] != s._rank_of[c][:, None] - 1] = sentinel
-        best[start : start + chunk] = keys.min(axis=1)
-    if (best == sentinel).any():
-        raise AssertionError("no predecessor one rank lower; rank table corrupt")
-    return best // G, best % G
-
-
-def symmetric_rank(X, s):
-    """Rank r with encode(X) in strata[r], or None when undecomposable."""
-    return s.rank_of_compact_code(_compact_code_of(X, s))
-
-
-def decompose(X, s):
-    """Vectors whose symmetric outer powers sum to X, along least derivations.
-
-    The witness is re-evaluated before it is returned.  Undecomposable
-    input raises UndecomposableError.
-    """
-    code = _compact_code_of(X, s)
-    r = s.rank_of_compact_code(code)
-    if r is None:
-        raise UndecomposableError("tensor has no symmetric decomposition")
-    p = s.field.p
-    vectors = []
-    for _ in range(r):
-        pred, gen = _parents(s, np.array([code]))
-        vectors.append(s.generator_vectors[int(gen[0])])
-        code = int(pred[0])
-    vectors.reverse()
-
-    total = [0] * (1 << s.order)
-    for v in vectors:
-        term = symmetric_outer_power(v, s.order, s.field)
-        total = [(a + b) % p for a, b in zip(total, term.entries)]
-    if tuple(total) != X.entries:
-        raise AssertionError("witness re-evaluation failed; rank table corrupt")
-    return Witness(tuple(vectors))
 
 
 # ---------------------------------------------------------------------------

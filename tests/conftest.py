@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import symcanon
-from symcanon import (AsymmetricTensorError, FieldSpec, SymTensor, Tensor, classify, general_rank_strata,
-                      is_symmetric, symmetric_rank_strata)
-from symcanon.tensor import digits_of_codes
+from symcanon import (AsymmetricTensorError, FieldSpec, SymTensor, Tensor, UndecomposableError, classify,
+                      general_rank_strata, is_symmetric, symmetric_rank_strata)
+from symcanon import rank_strata
+from symcanon.tensor import compact_decode, compact_encode, compact_from_full, digits_of_codes
 
 # every (p, k) with a stored reference table
 ALL_PAIRS = [(2, 3), (3, 3), (5, 3), (7, 3), (11, 3), (13, 3), (17, 3),
@@ -157,3 +158,67 @@ def count_stabilizer_directly(X):
     """Count the group elements fixing X by applying every one of them,
     one at a time with the scalar action."""
     return sum(act_diagonal(g, X).entries == X.entries for g in enumerate_gl2(X.field))
+
+
+# ---------------------------------------------------------------------------
+# Least derivations read off the whole-space rank table: the oracle of
+# decompose and the source of the pinned parent arrays
+# ---------------------------------------------------------------------------
+
+def _compact_code_of(X, s):
+    if X.field != s.field or X.order != s.order:
+        raise ValueError(
+            f"tensor is over p={X.field.p}, order {X.order}; "
+            f"stratification is for p={s.field.p}, order {s.order}"
+        )
+    if not is_symmetric(X):
+        raise AsymmetricTensorError("symmetric rank is defined for symmetric tensors")
+    return compact_encode(compact_from_full(X))
+
+
+def strata_rank(s, X):
+    """The rank the whole-space table gives a symmetric X, None when it has
+    no decomposition."""
+    r = int(s._rank_of[_compact_code_of(X, s)])
+    return None if r < 0 else r
+
+
+def parent_of(s, X):
+    """The least derivation: (predecessor SymTensor, generator vector).
+
+    None for the zero tensor; errors on undecomposable input.
+    """
+    code = _compact_code_of(X, s)
+    if code == 0:
+        return None
+    if s._rank_of[code] < 0:
+        raise UndecomposableError("tensor has no symmetric decomposition")
+    pred, gen = _parents(s, np.array([code]))
+    pred = compact_decode(int(pred[0]), s.field, s.order).full()
+    return pred, s.generator_vectors[int(gen[0])]
+
+
+def _parents(s, codes):
+    """Least derivation (pred, gen) of each code of rank >= 1, as arrays.
+
+    pred = code - generator gen has rank one lower, and pred * G + gen is
+    least among all such pairs.  pred is summed digit by digit in int32:
+    minus[j, a, g] is (a - digit j of g) at place j.  Codes come in chunks
+    of _PULL_CHUNK // G, so a chunk holds at most _PULL_CHUNK pairs.
+    """
+    p, width, G = s.field.p, s.order + 1, s._gen_codes.size
+    gen_digits = digits_of_codes(s._gen_codes, p, width).T[:, None]
+    place = p ** np.arange(width - 1, -1, -1)[:, None, None]
+    minus = ((np.arange(p)[:, None] - gen_digits) % p * place).astype(np.int32)
+    sentinel = np.iinfo(np.int64).max
+    best = np.empty(codes.size, dtype=np.int64)
+    chunk = max(1, rank_strata._PULL_CHUNK // G)
+    for start in range(0, codes.size, chunk):
+        c = codes[start : start + chunk]
+        preds = sum(m[d] for m, d in zip(minus, digits_of_codes(c, p, width).T))
+        keys = preds * np.int64(G) + np.arange(G)
+        keys[s._rank_of[preds] != s._rank_of[c][:, None] - 1] = sentinel
+        best[start : start + chunk] = keys.min(axis=1)
+    if (best == sentinel).any():
+        raise AssertionError("no predecessor one rank lower; rank table corrupt")
+    return best // G, best % G

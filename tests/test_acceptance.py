@@ -17,13 +17,12 @@ from symcanon import (
     group_order,
     load_fixture,
     symmetric_outer_power,
-    symmetric_rank,
 )
 from symcanon.rank_strata import DEFAULT_BUDGET
 from symcanon.report import ERRATUM_SUSPECTED, MISMATCH, list_fixtures
 from symcanon.tensor import SymTensor, compact_decode
 
-from conftest import ALL_PAIRS, count_stabilizer_directly, general_rank_k3
+from conftest import ALL_PAIRS, count_stabilizer_directly, general_rank_k3, strata_rank
 
 
 def criterion(num, desc, ok):
@@ -176,8 +175,8 @@ def test_criterion_7_rank_inequality(strata_for, general_for):
 
 
 def _witness_ok(X, s, f):
-    w = decompose(X, s)
-    if len(w.vectors) != symmetric_rank(X, s):
+    w = decompose(X)
+    if len(w.vectors) != strata_rank(s, X):
         return False
     total = [0] * (1 << s.order)
     for v in w.vectors:
@@ -193,7 +192,7 @@ def test_criterion_8_witness_soundness(strata_for):
         s = strata_for(p, k)
         for code in range(p ** (k + 1)):
             X = compact_decode(code, f, k).full()
-            if symmetric_rank(X, s) is None:
+            if strata_rank(s, X) is None:
                 continue
             if not _witness_ok(X, s, f):
                 ok = False
@@ -204,7 +203,7 @@ def test_criterion_8_witness_soundness(strata_for):
         for _ in range(1000):
             code = rng.randrange(p ** (k + 1))
             X = compact_decode(code, f, k).full()
-            if symmetric_rank(X, s) is None:
+            if strata_rank(s, X) is None:
                 ok = False  # these fields have no undecomposable tensors
             elif not _witness_ok(X, s, f):
                 ok = False

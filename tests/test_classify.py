@@ -13,8 +13,10 @@ from symcanon import (
     compact_from_full,
     decode,
     emit,
+    encode,
     full_from_compact,
     group_order,
+    symmetric_rank_strata,
 )
 from symcanon.group_action import action_stack, orbit_labels
 from symcanon.tensor import SymTensor
@@ -27,6 +29,21 @@ def test_classify_f3_records(classification_for):
     assert [(r.rank, r.orbit_size) for r in rep.records] == [
         (0, 1), (1, 8), (2, 24), (3, 8), (3, 24), (4, 16)]
     assert rep.undecomposable_records == []
+
+
+def test_canonical_codes_past_int64():
+    # full codes reach p^16 > 2^63 from p = 17 at k = 4: the records keep
+    # them in Python ints (at (19,4) 38 of the 90 canonical codes pass 2^63),
+    # and the full-code lists of the strata refuse rather than wrap
+    rep = classify(FieldSpec(19), 4)
+    assert sum(r.canonical_code > 1 << 63 for r in rep.all_records()) == 38
+    for r in rep.all_records():
+        assert r.canonical_code == encode(SymTensor(FieldSpec(19), r.canonical)), r
+    s = symmetric_rank_strata(FieldSpec(17), 4)
+    for name in ("strata", "undecomposable"):
+        with pytest.raises(OverflowError, match="int64 limit"):
+            getattr(s, name)
+    assert sum(map(len, symmetric_rank_strata(FieldSpec(13), 4).strata)) == 13**5  # 13^16 < 2^63
 
 
 def test_classify_f11_rank3_sizes(classification_for):

@@ -10,6 +10,9 @@ from symcanon.report import fixtures_dir
 from conftest import run_python
 
 
+CONFIRM = "re-evaluated sum of {} outer powers: matches input\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -225,18 +228,53 @@ def test_orbit_queries_count_the_group_not_the_space(capsys):
 
 def test_orbit_queries_never_load_numpy():
     # numpy's own __init__ imports numpy.linalg, on 1.24 and 2.x alike, so
-    # its absence means numpy was never loaded; rank labels the space with it
+    # its absence means numpy was never loaded.  Every one-tensor query stays
+    # clear of it, on a basis scan (17,3), a support enumeration (a rank-10
+    # tensor at (5,4)), no basis at all ((3,4), one tensor of rank 8 and one
+    # undecomposable) and a rank-5 tensor at (7,3); stats ranks the whole
+    # space with it
     script = """
 import sys
 import symcanon, symcanon.cli
-for command in ("canon", "orbit", "stabilizer"):
-    for p, k, tensor in (("17", "3", "c:1,2,3,4"), ("7", "4", "c:1,2,3,4,5")):
-        assert symcanon.cli.main([command, "--p", p, "--order", k, "--tensor", tensor]) == 0
+queries = [("17", "3", "c:1,2,3,4", 0), ("7", "4", "c:1,2,3,4,5", 0), ("5", "4", "c:0,0,0,1,0", 0),
+           ("3", "4", "c:0,0,1,0,0", 0), ("3", "4", "c:0,0,0,1,0", 4), ("7", "3", "c:6,6,5,6", 0)]
+for command in ("canon", "orbit", "stabilizer", "rank", "decompose"):
+    for p, k, tensor, code in queries:
+        expected = code if command in ("rank", "decompose") else 0
+        assert symcanon.cli.main([command, "--p", p, "--order", k, "--tensor", tensor]) == expected
 loaded = ["numpy.linalg" in sys.modules]
-symcanon.cli.main(["rank", "--p", "7", "--order", "4", "--tensor", "c:1,2,3,4,5"])
+assert symcanon.cli.main(["stats", "--p", "7", "--order", "4"]) == 0
 print(loaded + ["numpy.linalg" in sys.modules])
 """
     assert run_python("-c", script).splitlines()[-1] == "[False, True]"
+
+
+def test_rank_queries_count_their_solves_not_the_space(capsys):
+    # at p = 17, k = 3 the space holds 83 521 codes, and a rank query solves
+    # the k + 1 coefficients of each of the C(18, 4) = 3 060 bases: 12 240
+    query = ["--p", "17", "--order", "3", "--tensor", "c:1,2,3,4", "--budget"]
+    for command, answer in (("rank", "3\n"), ("decompose", "7,13\n10,2\n1,15\n" + CONFIRM.format(3))):
+        assert run(capsys, command, *query, "80000") == (0, answer, ""), command
+        assert run(capsys, command, *query, "12240") == (0, answer, ""), command
+        code, out, err = run(capsys, command, *query, "12239")
+        assert code == 3 and out == "", command
+        assert err == "error: basis scan of (k+1) C(p+1, k+1) = 12240 exceeds the budget of 12239 codes\n"
+
+
+def test_enumerations_count_against_the_budget(capsys):
+    # a rank-10 tensor at (5,4) costs 10 on the bases, so its rank also
+    # needs the supports of 6 points: the one support, with 4 choices of its
+    # sixth coefficient, adds 5 * 4 = 20 solves to the 5 * C(6, 5) = 30; at
+    # (3,4) no 5 of the 4 points make a basis, and the 3^4 coefficient
+    # vectors are tried instead
+    for p, k, tensor, answer, what, count in (
+            ("5", "4", "c:0,0,0,1,0", "10", "basis scan and support enumeration", 50),
+            ("3", "4", "c:0,0,1,0,0", "8", "coefficient vectors p^(p+1)", 81)):
+        query = ["--p", p, "--order", k, "--tensor", tensor, "--budget"]
+        assert run(capsys, "rank", *query, str(count)) == (0, answer + "\n", "")
+        code, out, err = run(capsys, "rank", *query, str(count - 1))
+        assert code == 3 and out == ""
+        assert err == f"error: {what} = {count} exceeds the budget of {count - 1} codes\n"
 
 
 def test_budget_env_unparsable(capsys, monkeypatch):

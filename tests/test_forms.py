@@ -14,7 +14,6 @@ from symcanon import (
     full_from_compact,
     symmetric_outer_power,
     symmetric_rank,
-    symmetric_rank_strata,
 )
 from symcanon.tensor import compact_decode, twos_counts
 
@@ -33,12 +32,12 @@ def evaluate(X, u):
     return sum(x * u[0] ** (k - j) * u[1] ** j for x, j in zip(X.entries, twos_counts(k))) % X.field.p
 
 
-def waring_check(X, s):
+def waring_check(X):
     """decompose's witness re-sums to X entry by entry, has symmetric_rank
     terms, and its powers of linear forms agree with X at every point."""
     p, k = X.field.p, X.order
-    vectors = decompose(X, s).vectors
-    assert len(vectors) == symmetric_rank(X, s)
+    vectors = decompose(X).vectors
+    assert len(vectors) == symmetric_rank(X)
     total = [0] * (1 << k)
     for v in vectors:
         total = [(a + b) % p for a, b in zip(total, symmetric_outer_power(v, k, X.field).entries)]
@@ -57,22 +56,19 @@ def test_eval_form_rank1_power_identity():
 
 
 def test_waring_check_rank1_tensors():
-    s = symmetric_rank_strata(F5, 3)
     for v in [(1, 0), (1, 2), (0, 3)]:
         X = symmetric_outer_power(v, 3, F5)
-        assert symmetric_rank(X, s) == 1
-        assert waring_check(X, s)
+        assert symmetric_rank(X) == 1
+        assert waring_check(X)
 
 
 def test_waring_check_all_f3():
-    s = symmetric_rank_strata(F3, 3)
     for code in range(81):
-        assert waring_check(compact_decode(code, F3, 3).full(), s)
+        assert waring_check(compact_decode(code, F3, 3).full())
 
 
 def test_waring_check_excludes_undecomposable():
-    s = symmetric_rank_strata(F2, 3)
     X = sym(F2, (0, 1, 0, 0))
-    assert symmetric_rank(X, s) is None
+    assert symmetric_rank(X) is None
     with pytest.raises(UndecomposableError):
-        decompose(X, s)
+        decompose(X)

@@ -13,7 +13,8 @@ import symcanon
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (module, name) pairs that left the package; the GL2 oracles moved to conftest
+# (module, name) pairs that left the package; the GL2 oracles and the
+# derivations read off the rank table moved to conftest
 GONE = [
     ("classify", "verify_against_paper"),
     ("report", "parse_structured"),
@@ -26,6 +27,8 @@ GONE = [
     ("group_action", "act"),
     ("group_action", "act_diagonal"),
     ("group_action", "count_stabilizer_directly"),
+    ("rank_strata", "_parents"),
+    ("rank_strata", "_compact_code_of"),
 ]
 FORMS = ["BinaryForm", "tensor_to_form", "eval_form", "form_kernel_dimension", "waring_rank_check"]
 
@@ -43,6 +46,8 @@ def test_deleted_and_moved_names_are_gone():
         assert not hasattr(symcanon.FieldSpec, name), name
     assert not hasattr(symcanon.Tensor, "__getitem__")
     assert not hasattr(symcanon.SymTensor, "compact")
+    assert not hasattr(symcanon.RankStratification, "parent_of")
+    assert not hasattr(symcanon.RankStratification, "rank_of_compact_code")
 
 
 def test_forms_module_is_gone():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 import tracemalloc
@@ -25,11 +26,13 @@ from symcanon import (
     symmetric_rank,
     symmetric_rank_strata,
 )
-from symcanon import rank_strata
+from symcanon import apolar, rank_strata
 from symcanon.rank_strata import rank_one_generators
 from symcanon.tensor import compact_decode, compact_encode, compact_from_full
 
-from conftest import ALL_PAIRS, act, act_diagonal, enumerate_gl2, general_rank_k3, run_python
+import conftest
+from conftest import (ALL_PAIRS, _parents, act, act_diagonal, enumerate_gl2, general_rank_k3, parent_of, run_python,
+                      strata_rank)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -65,7 +68,7 @@ def test_strata_against_brute_force(p, k, max_r):
     oracle = brute_force_ranks(p, k, max_r)
     for code in range(p ** (k + 1)):
         X = compact_decode(code, f, k).full()
-        assert symmetric_rank(X, s) == oracle.get(X.entries)
+        assert strata_rank(s, X) == symmetric_rank(X) == oracle.get(X.entries)
 
 
 def test_stratum_sizes_order3():
@@ -128,41 +131,34 @@ def test_parents_link_into_previous_stratum():
             for code in s.strata[r]:
                 X = decode(int(code), f, k)
                 X = sym(f, tuple(X.entries[t] for t in [0, 1, 3, 7, 15][: k + 1]))
-                pred, vec = s.parent_of(X)
-                assert symmetric_rank(pred, s) == r - 1
+                pred, vec = parent_of(s, X)
+                assert strata_rank(s, pred) == r - 1
                 term = symmetric_outer_power(vec, k, f)
                 resum = tuple((a + b) % p for a, b in zip(pred.entries, term.entries))
                 assert resum == X.entries
 
 
 def test_symmetric_rank_examples():
-    s = symmetric_rank_strata(F2, 3)
-    assert symmetric_rank(sym(F2, (0, 0, 0, 0)), s) == 0
-    assert symmetric_rank(sym(F2, (0, 1, 1, 0)), s) == 3
-    assert symmetric_rank(sym(F2, (0, 1, 0, 0)), s) is None
-
-
-def test_symmetric_rank_rejects_mismatched_parameters():
-    s = symmetric_rank_strata(F2, 3)
-    with pytest.raises(ValueError):
-        symmetric_rank(sym(F3, (0, 0, 0, 1)), s)
+    assert symmetric_rank(sym(F2, (0, 0, 0, 0))) == 0
+    assert symmetric_rank(sym(F2, (0, 1, 1, 0))) == 3
+    assert symmetric_rank(sym(F2, (0, 1, 0, 0))) is None
 
 
 def test_asymmetric_input_raises_asymmetric_tensor_error():
     s = symmetric_rank_strata(F2, 3)
     X = Tensor(F2, (0, 1, 0, 0, 0, 0, 0, 0))
     with pytest.raises(AsymmetricTensorError):
-        symmetric_rank(X, s)
+        symmetric_rank(X)
     with pytest.raises(AsymmetricTensorError):
-        decompose(X, s)
+        decompose(X)
     with pytest.raises(AsymmetricTensorError):
-        s.parent_of(X)
+        parent_of(s, X)
 
 
 # SHA-256 over _rank_of, the parent arrays (int64 pred, int32 gen, -1 where
 # the rank is not >= 1), every stratum and the undecomposable codes, in that
 # order; pins the least derivations.  Recorded when the parent arrays were
-# stored; they are now derived by _parents.
+# stored; they are now derived by conftest._parents.
 PINNED_STRATA_SHA256 = {
     (2, 3): "0453457a7c25dfe8331c0100185b282f46b1849c32c9a6888a79e43dde139aa2",
     (3, 3): "eb875ec7d0ae4ca2f5a66d1d7f31e6939e8babdba852c96b93fd25c85d938c05",
@@ -192,7 +188,7 @@ def parent_arrays(s):
     pred = np.full(s._rank_of.size, -1, dtype=np.int64)
     gen = np.full(s._rank_of.size, -1, dtype=np.int32)
     codes = np.flatnonzero(s._rank_of > 0)
-    pred[codes], gen[codes] = rank_strata._parents(s, codes)
+    pred[codes], gen[codes] = _parents(s, codes)
     return pred, gen
 
 
@@ -212,7 +208,7 @@ def test_parent_links_pinned(strata_for):
 def parent_chunks(monkeypatch, s):
     """Hashes s as strata_sha256 does; returns the sizes of the chunks of
     codes whose digits _parents read, those of the generators aside."""
-    chunks, real_digits = [], rank_strata.digits_of_codes
+    chunks, real_digits = [], conftest.digits_of_codes
 
     def digits_of_codes(codes, p, width):
         if codes is not s._gen_codes:
@@ -220,7 +216,7 @@ def parent_chunks(monkeypatch, s):
         return real_digits(codes, p, width)
 
     with monkeypatch.context() as m:
-        m.setattr(rank_strata, "digits_of_codes", digits_of_codes)
+        m.setattr(conftest, "digits_of_codes", digits_of_codes)
         return strata_sha256(s), chunks
 
 
@@ -243,7 +239,7 @@ def test_parent_of_is_least_derivation(p, k):
     f = FieldSpec(p)
     s = symmetric_rank_strata(f, k)
     gens = rank_one_generators(f, k)
-    rank = {c: symmetric_rank(compact_decode(c, f, k).full(), s) for c in range(p ** (k + 1))}
+    rank = {c: strata_rank(s, compact_decode(c, f, k).full()) for c in range(p ** (k + 1))}
 
     def digits(c):
         return [(c // p ** (k - j)) % p for j in range(k + 1)]
@@ -260,7 +256,7 @@ def test_parent_of_is_least_derivation(p, k):
             for pred in [undigits([(a - b) % p for a, b in zip(digits(code), digits(g))])]
             if rank[pred] == r - 1
         )
-        pred, vec = s.parent_of(compact_decode(code, f, k).full())
+        pred, vec = parent_of(s, compact_decode(code, f, k).full())
         got = (compact_encode(compact_from_full(pred)), s.generator_vectors.index(vec))
         assert got == expected, (p, k, code)
 
@@ -369,52 +365,72 @@ def test_simple_tensor_codes_build_each_simple_tensor_once(p, k):
 
 
 def test_decompose_rank1():
-    s = symmetric_rank_strata(F2, 3)
-    w = decompose(symmetric_outer_power((1, 0), 3, F2), s)
+    w = decompose(symmetric_outer_power((1, 0), 3, F2))
     assert w.vectors == ((1, 0),)
 
 
 def test_decompose_rank2_example():
-    s = symmetric_rank_strata(F2, 3)
     X = sym(F2, (0, 1, 1, 1))  # flattened [0,1,1,1,1,1,1,1]
-    w = decompose(X, s)
+    w = decompose(X)
     assert set(w.vectors) == {(1, 1), (1, 0)}
 
 
 def test_decompose_undecomposable_raises():
-    s = symmetric_rank_strata(F2, 3)
     with pytest.raises(UndecomposableError):
-        decompose(sym(F2, (0, 1, 0, 0)), s)
+        decompose(sym(F2, (0, 1, 0, 0)))
 
 
-def test_decompose_rejects_corrupt_parent_link():
+def corrupt_point_table(monkeypatch, **fields):
+    """Makes every query read a copy of the point table with these
+    attributes replaced."""
+    real = apolar._point_table
+
+    def corrupted(p, k):
+        table = copy.copy(real(p, k))
+        table.__dict__.update(fields)
+        return table
+
+    monkeypatch.setattr(apolar, "_point_table", corrupted)
+
+
+def test_decompose_rejects_corrupt_parent_link(monkeypatch):
+    # the whole-space oracle refuses a rank table that lost a layer; decompose
+    # refuses weights under which no generator lowers a coefficient's cost,
+    # and generator vectors that no longer match their codes
     s = symmetric_rank_strata(F3, 3)  # fresh: the rank table is mutated below
     code = int(np.flatnonzero(s._rank_of == 2)[0])
     X = compact_decode(code, F3, 3).full()
     s._rank_of[s._rank_of == 1] = -1  # a rank-2 code now has no predecessor
     with pytest.raises(AssertionError, match="no predecessor one rank lower"):
-        decompose(X, s)
-    with pytest.raises(AssertionError, match="no predecessor one rank lower"):
-        s.parent_of(X)
+        parent_of(s, X)
+    with monkeypatch.context() as m:
+        corrupt_point_table(m, w=[0, 5, 5])
+        with pytest.raises(AssertionError, match="no predecessor one rank lower"):
+            decompose(X)
+    with monkeypatch.context() as m:
+        index_of, vectors = apolar._point_table(3, 3).generators
+        corrupt_point_table(m, generators=(index_of, vectors[1:] + vectors[:1]))
+        with pytest.raises(AssertionError, match="witness re-evaluation failed"):
+            decompose(X)
+    assert len(decompose(X).vectors) == 2
 
 
 def test_corrupt_parent_link_detected_under_python_O():
     # python -O strips assert statements; decompose must still refuse
     script = """
-import numpy as np
-from symcanon import FieldSpec, decompose, symmetric_rank_strata
+import copy
+from symcanon import FieldSpec, apolar, decompose
 from symcanon.tensor import compact_decode
-f = FieldSpec(3)
-s = symmetric_rank_strata(f, 3)
-code = int(np.flatnonzero(s._rank_of == 2)[0])
-s._rank_of[s._rank_of == 1] = -1
+table = copy.copy(apolar._point_table(3, 3))
+table.w = [0, 5, 5]
+apolar._point_table = lambda p, k: table
 try:
-    decompose(compact_decode(code, f, 3).full(), s)
+    decompose(compact_decode(10, FieldSpec(3), 3).full())  # the least code of rank 2
 except AssertionError as exc:
     print("raised:", exc)
 """
     out = run_python("-O", "-c", script)
-    assert out.startswith("raised:") and "no predecessor one rank lower; rank table corrupt" in out
+    assert out.startswith("raised:") and "no predecessor one rank lower; point table corrupt" in out
 
 
 def test_decompose_resums_everywhere_small():
@@ -422,8 +438,8 @@ def test_decompose_resums_everywhere_small():
     s = symmetric_rank_strata(F3, 3)
     for code in range(81):
         X = compact_decode(code, F3, 3).full()
-        w = decompose(X, s)
-        assert len(w.vectors) == symmetric_rank(X, s)
+        w = decompose(X)
+        assert len(w.vectors) == strata_rank(s, X)
         total = [0] * 8
         for v in w.vectors:
             term = symmetric_outer_power(v, 3, F3)
@@ -434,18 +450,17 @@ def test_decompose_resums_everywhere_small():
 def test_rank_changes_by_at_most_one_when_adding_rank1():
     rng = random.Random(99)
     f = FieldSpec(5)
-    s = symmetric_rank_strata(f, 3)
     gens = [vec for _, vec in rank_one_generators(f, 3)]
     for _ in range(300):
         code = rng.randrange(5**4)
         X = compact_decode(code, f, 3).full()
-        rX = symmetric_rank(X, s)
+        rX = symmetric_rank(X)
         v = rng.choice(gens)
         term = symmetric_outer_power(v, 3, f)
         Y = sym(f, tuple((a + b) % 5 for a, b in
                          zip([X.entries[t] for t in (0, 1, 3, 7)],
                              [term.entries[t] for t in (0, 1, 3, 7)])))
-        rY = symmetric_rank(Y, s)
+        rY = symmetric_rank(Y)
         assert abs(rX - rY) <= 1
 
 
@@ -854,7 +869,7 @@ before = set(sys.modules)
 f = FieldSpec(2)
 general_rank_strata(f, 3)
 classify(f, 3)
-decompose(symmetric_outer_power((1, 1), 3, f), symmetric_rank_strata(f, 3))
+decompose(symmetric_outer_power((1, 1), 3, f))
 print(sorted(set(sys.modules) - before))
 """
     assert run_python("-c", script).strip() == "[]"
@@ -865,10 +880,9 @@ def test_general_strata_small_spaces(general_for):
     assert sum(g23.sizes) == 256 and g23.sizes[0] == 1
     g33 = general_for(3, 3)
     assert sum(g33.sizes) == 6561
-    s = symmetric_rank_strata(F3, 3)
     for code in range(81):
         X = compact_decode(code, F3, 3).full()
-        assert g33.rank_of(X) <= symmetric_rank(X, s)
+        assert g33.rank_of(X) <= symmetric_rank(X)
 
 
 def test_general_rank1_equals_simple_tensors(general_for):
@@ -903,13 +917,13 @@ def test_rank_and_witness_invariant_under_gl2(strata_for, data):
     X = compact_decode(data.draw(st.integers(0, p ** (k + 1) - 1)), f, k).full()
     g = data.draw(st.sampled_from(gl2(p)))
     gX = act_diagonal(g, X)
-    r = symmetric_rank(X, s)
-    assert symmetric_rank(gX, s) == r
+    r = symmetric_rank(X)
+    assert symmetric_rank(gX) == strata_rank(s, gX) == r
     if r is None:  # only p = 3, k = 4 has undecomposable tensors here
         return
     (a, b), (c, d) = g.m
     total = [0] * (1 << k)
-    for v1, v2 in decompose(X, s).vectors:
+    for v1, v2 in decompose(X).vectors:
         term = symmetric_outer_power(((a * v1 + b * v2) % p, (c * v1 + d * v2) % p), k, f)
         total = [(x + y) % p for x, y in zip(total, term.entries)]
     assert tuple(total) == gX.entries
