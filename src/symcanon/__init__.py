@@ -4,46 +4,56 @@ Computes symmetric-rank strata by layered generation, orbits and
 lexicographically minimal canonical forms under the diagonal GL2(F_p)
 action, orbit and stabilizer sizes, explicit decomposition witnesses,
 and audits the stored reference tables.
+
+Every export is imported from its submodule on first access (PEP 562), so
+`import symcanon` loads no submodule but `_version`, and a one-tensor
+query loads only the modules it runs.
 """
 
-from types import ModuleType as _ModuleType
+import sys
+from importlib import import_module
+from types import ModuleType
 
 from ._version import __version__
-from .apolar import decompose, symmetric_rank
-from .classify import ClassificationReport, OrbitRecord, classify
-from .errors import (
-    AsymmetricTensorError,
-    BudgetExceededError,
-    FixtureError,
-    MissingFixtureError,
-    SymcanonError,
-    UndecomposableError,
-)
-from .gfp import FieldSpec, is_prime
-from .group_action import Orbit, canonical_form, group_order, orbit, stabilizer_size
-from .rank_strata import (
-    DEFAULT_BUDGET,
-    GeneralRankStratification,
-    RankStratification,
-    Witness,
-    general_rank_strata,
-    symmetric_rank_strata,
-)
-from .report import Discrepancy, diff, emit, load_fixture
-from .tensor import (
-    CompactSym,
-    SymTensor,
-    Tensor,
-    compact_from_full,
-    decode,
-    encode,
-    format_literal,
-    full_from_compact,
-    is_symmetric,
-    parse_literal,
-    symmetric_outer_power,
-)
 
-# every name imported above; the submodules are attributes, not exports
-__all__ = ["__version__"] + [name for name, value in globals().items()
-                             if not name.startswith("_") and not isinstance(value, _ModuleType)]
+# each exported name, in the order of __all__, and the submodule that defines it
+_SOURCE = {name: module for module, names in [
+    ("apolar", "decompose symmetric_rank"),
+    ("classify", "classify ClassificationReport OrbitRecord"),
+    ("errors", "AsymmetricTensorError BudgetExceededError FixtureError MissingFixtureError SymcanonError "
+               "UndecomposableError"),
+    ("gfp", "FieldSpec is_prime"),
+    ("group_action", "Orbit canonical_form group_order orbit stabilizer_size DEFAULT_BUDGET"),
+    ("rank_strata", "GeneralRankStratification RankStratification"),
+    ("apolar", "Witness"),
+    ("rank_strata", "general_rank_strata symmetric_rank_strata"),
+    ("report", "Discrepancy diff emit load_fixture"),
+    ("tensor", "CompactSym SymTensor Tensor compact_from_full decode encode format_literal full_from_compact "
+               "is_symmetric parse_literal symmetric_outer_power"),
+] for name in names.split()}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(ModuleType):
+    # importing a submodule binds it on the package under its own name;
+    # where an export has that name (classify), the export keeps it, as it
+    # does when the package imports its exports eagerly
+    def __setattr__(self, name, value):
+        if name in _SOURCE and isinstance(value, ModuleType):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

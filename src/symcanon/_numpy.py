@@ -1,9 +1,12 @@
 """numpy, loaded on first attribute access.
 
-The whole-space modules take `np` from here.  An already imported numpy is
-used as it is; otherwise a lazy module stands in sys.modules and runs
-numpy's own import the first time an attribute is read, so `import
-symcanon` and the one-tensor orbit queries never pay for it.
+The whole-space code takes `np` from here: `rank_strata` and `classify`
+when they are imported, and the numpy helpers of `tensor` and
+`group_action` when they run.  An already imported numpy is used as it
+is; otherwise a lazy module stands in sys.modules and runs numpy's own
+import the first time an attribute is read.  So `import symcanon` and
+the five one-tensor queries (rank, decompose, canon, orbit and
+stabilizer) never import this module, and never pay for numpy.
 """
 
 import sys

@@ -35,12 +35,32 @@ from math import comb, gcd
 from operator import add, floordiv, getitem, itemgetter, mul, not_
 
 from .errors import AsymmetricTensorError, UndecomposableError
-from .gfp import FieldSpec
+from .gfp import FieldSpec, Frozen
 from .group_action import DEFAULT_BUDGET, _kth_powers, _refuse_oversized
-from .rank_strata import Witness, rank_one_generators
 from .tensor import compact_from_full, is_symmetric, symmetric_outer_power
 
 _SLOT_FORMAT = {16: "H", 64: "Q"}
+
+
+class Witness(Frozen):
+    """Vectors whose symmetric outer powers sum to the decomposed tensor."""
+
+    __match_args__ = ("vectors",)  # ((v1, v2), ...), length == symmetric rank
+
+
+def rank_one_generators(field, k):
+    """Distinct symmetric simple tensors as (compact code, least vector) pairs.
+
+    Vectors are scanned in lexicographic order, so each tensor keeps its
+    least generating vector and the list is ordered by those vectors.
+    """
+    p = field.p
+    gens = {}
+    for v1, v2 in product(range(p), repeat=2):
+        code = sum(pow(v1, k - j, p) * pow(v2, j, p) % p * p ** (k - j) for j in range(k + 1))
+        if code:  # v^(x)k = 0 only for v = 0
+            gens.setdefault(code, (v1, v2))
+    return list(gens.items())
 
 
 class _PointTable:

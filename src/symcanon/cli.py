@@ -18,8 +18,6 @@ import argparse
 import os
 import sys
 
-from . import report as report_mod
-from .classify import classify
 from .errors import (
     AsymmetricTensorError,
     BudgetExceededError,
@@ -28,8 +26,7 @@ from .errors import (
 )
 from .gfp import FieldSpec
 from .apolar import decompose, symmetric_rank
-from .group_action import group_order, orbit, stabilizer_size
-from .rank_strata import DEFAULT_BUDGET, symmetric_rank_strata
+from .group_action import DEFAULT_BUDGET, group_order, orbit, stabilizer_size
 from .tensor import (
     SUPPORTED_ORDERS,
     SymTensor,
@@ -45,6 +42,13 @@ EXIT_BUDGET = 3
 EXIT_UNDECOMPOSABLE = 4
 
 QUERY_COMMANDS = ("rank", "canon", "orbit", "decompose", "stabilizer")
+
+
+def symmetric_rank_strata(field, k, budget):
+    """The strata stats prints; rank_strata is imported only when stats runs."""
+    from . import rank_strata
+
+    return rank_strata.symmetric_rank_strata(field, k, budget)
 
 
 def _build_parser():
@@ -139,6 +143,9 @@ def main(argv=None):
 
 def _dispatch(args):
     if args.command == "classify":
+        from . import report as report_mod
+        from .classify import classify
+
         field = FieldSpec(args.p)
         k = _order(args)
         rep = classify(field, k, budget=_budget(args))
@@ -157,6 +164,8 @@ def _dispatch(args):
         return _run_verify(args)
 
     if args.command == "stats":
+        from .report import _percentages
+
         field = FieldSpec(args.p)
         k = _order(args)
         strata = symmetric_rank_strata(field, k, _budget(args))
@@ -167,7 +176,7 @@ def _dispatch(args):
         print(f"max_symmetric_rank={strata.max_rank}")
         print("rank,count,percent")
         labels = [*range(len(counts) - 1), "undecomposable"]
-        for label, c, pct in zip(labels, counts, report_mod._percentages(counts, space)):
+        for label, c, pct in zip(labels, counts, _percentages(counts, space)):
             print(f"{label},{c},{pct:.2f}")
         return EXIT_OK
 
@@ -210,6 +219,9 @@ def _run_query(args):
 
 
 def _run_verify(args):
+    from . import report as report_mod
+    from .classify import classify
+
     budget = _budget(args)
     if args.all:
         pairs = report_mod.list_fixtures(args.fixtures)

@@ -1,6 +1,9 @@
-"""The prime field F_p: a primality test and canonical residues 0..p-1."""
+"""The prime field F_p: a primality test and canonical residues 0..p-1.
 
-from dataclasses import dataclass
+Also the base of the package's small immutable value classes (FieldSpec
+and those of the one-tensor queries), which take the place of frozen
+dataclasses so that a query never imports dataclasses and inspect.
+"""
 
 
 # Deterministic Miller-Rabin bases: the primes up to 37 decide every n below
@@ -32,19 +35,54 @@ def is_prime(n):
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Frozen:
+    """Fields set once at construction, with the repr, equality and hash of
+    a frozen dataclass.  A subclass names its fields in __match_args__, as
+    a dataclass does; one that checks them extends __init__."""
+
+    __match_args__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__match_args__):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {self.__match_args__}")
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FieldSpec(Frozen):
     """The prime field F_p.  Elements are plain ints in 0..p-1.
 
     Primality is verified once at construction; use check() at trust
     boundaries.
     """
 
-    p: int
+    __match_args__ = ("p",)
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise ValueError(f"modulus must be prime, got {self.p!r}")
+    def __init__(self, p):
+        if not isinstance(p, int) or not is_prime(p):
+            raise ValueError(f"modulus must be prime, got {p!r}")
+        super().__init__(p)
 
     def check(self, v):
         """Validate an externally supplied element; returns it unchanged."""

@@ -22,13 +22,12 @@ and the stabilizer off p (p + 1) (p - 1) vectors in pure Python, scaling
 each by the lam in K that makes it least.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import gcd
 from operator import mul
 
-from ._numpy import np
 from .errors import BudgetExceededError
+from .gfp import Frozen
 from .tensor import CompactSym, compact_from_full, full_from_compact, twos_counts
 
 DEFAULT_BUDGET = 10**8
@@ -42,14 +41,12 @@ def _refuse_oversized(space_name, size, budget, int32=True):
             raise BudgetExceededError(f"{space_name} {size} exceeds the {name} of {limit} codes")
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Frozen):
     """An orbit under the diagonal action: its least full code and its size.
     `members`, the sorted full codes, are enumerated on first read."""
 
-    tensor: object  # the SymTensor whose orbit this is
-    canonical: int  # == min(members)
-    size: int       # == len(members)
+    # the SymTensor whose orbit this is; min(members); len(members)
+    __match_args__ = ("tensor", "canonical", "size")
 
     @cached_property
     def members(self):
@@ -106,6 +103,8 @@ def _generators(field):
 def action_stack(field, k):
     """(2, k+1, k+1) int64 matrices of the two generators on compact
     coefficients: the image of coefficients c is S @ c mod p."""
+    from ._numpy import np
+
     p = field.p
     mats = [_compact_matrix(_powers(row1, k, p), _powers(row2, k, p), p) for row1, row2 in _generators(field)]
     return np.array(mats, dtype=np.int64)
@@ -123,6 +122,8 @@ def orbit_labels(stack, p):
     its component's minimum.  Codes stay below the int32 limit, which every
     caller checks first.
     """
+    from ._numpy import np
+
     digit, zero = np.arange(p, dtype=np.int32), np.zeros(1, dtype=np.int32)
     images = []
     for g in stack.tolist():

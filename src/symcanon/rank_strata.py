@@ -54,9 +54,9 @@ int32, so spaces beyond 2^31 codes are refused whatever the budget.
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, partial, reduce
-from itertools import product
 
 from ._numpy import np
+from .apolar import Witness, rank_one_generators  # Witness only re-exported
 from .gfp import FieldSpec
 from .group_action import DEFAULT_BUDGET, _refuse_oversized, action_stack, orbit_labels
 from .tensor import compact_weights, digits_of_codes, encode, full_place_values
@@ -65,13 +65,6 @@ from .tensor import compact_weights, digits_of_codes, encode, full_place_values
 # temporary of a pass holds about _PULL_CHUNK entries
 _PUSH_FACTOR = 10
 _PULL_CHUNK = 1 << 18
-
-
-@dataclass(frozen=True)
-class Witness:
-    """Vectors whose symmetric outer powers sum to the decomposed tensor."""
-
-    vectors: tuple  # ((v1, v2), ...), length == symmetric rank
 
 
 @dataclass
@@ -120,21 +113,6 @@ class RankStratification:
                                 "pass the int64 limit of 2^63")
         weights = compact_weights(self.field.p, self.order)
         return reduce(np.add.outer, np.arange(self.field.p) * weights[:, None]).ravel()
-
-
-def rank_one_generators(field, k):
-    """Distinct symmetric simple tensors as (compact code, least vector) pairs.
-
-    Vectors are scanned in lexicographic order, so each tensor keeps its
-    least generating vector and the list is ordered by those vectors.
-    """
-    p = field.p
-    gens = {}
-    for v1, v2 in product(range(p), repeat=2):
-        code = sum(pow(v1, k - j, p) * pow(v2, j, p) % p * p ** (k - j) for j in range(k + 1))
-        if code:  # v^(x)k = 0 only for v = 0
-            gens.setdefault(code, (v1, v2))
-    return list(gens.items())
 
 
 def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET, stack=None):

@@ -19,12 +19,10 @@ entries, most significant digit first, so numeric order on codes equals
 lexicographic order on flattened vectors.
 """
 
-from dataclasses import dataclass
 from numbers import Integral  # int and numpy's integer scalars
 
-from ._numpy import np
 from .errors import AsymmetricTensorError
-from .gfp import FieldSpec
+from .gfp import Frozen
 
 SUPPORTED_ORDERS = (3, 4)
 
@@ -34,30 +32,28 @@ def twos_counts(k):
     return tuple(bin(t).count("1") for t in range(1 << k))
 
 
-@dataclass(frozen=True, eq=False)
-class Tensor:
+class Tensor(Frozen):
     """Full 2^k-entry tensor in flatten order; symmetry not assumed."""
 
-    field: FieldSpec
-    entries: tuple
+    __match_args__ = ("field", "entries")
+
+    def __init__(self, field, entries):
+        super().__init__(field, entries)
+        n = len(entries)
+        k = n.bit_length() - 1
+        if n < 4 or (1 << k) != n:
+            raise ValueError(f"entry count must be 2^k with k >= 2, got {n}")
+        for v in entries:
+            field.check(v)
 
     # equality is by value, so a SymTensor equals the plain Tensor with the
     # same entries (decode returns a plain Tensor for every code)
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self.field == other.field and self.entries == other.entries
+        return self._values() == other._values()
 
-    def __hash__(self):
-        return hash((self.field, self.entries))
-
-    def __post_init__(self):
-        n = len(self.entries)
-        k = n.bit_length() - 1
-        if n < 4 or (1 << k) != n:
-            raise ValueError(f"entry count must be 2^k with k >= 2, got {n}")
-        for v in self.entries:
-            self.field.check(v)
+    __hash__ = Frozen.__hash__
 
     @property
     def order(self):
@@ -67,29 +63,25 @@ class Tensor:
 class SymTensor(Tensor):
     """Tensor invariant under every permutation of its subscripts."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, field, entries):
+        super().__init__(field, entries)
         if not is_symmetric(self):
             raise AsymmetricTensorError(f"entries are not symmetric: {self.entries}")
 
 
-@dataclass(frozen=True)
-class CompactSym:
+class CompactSym(Frozen):
     """The k+1 free entries of a symmetric tensor, by number of 2-subscripts."""
 
-    field: FieldSpec
-    order: int
-    coeffs: tuple
+    __match_args__ = ("field", "order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 2:
-            raise ValueError(f"order must be >= 2, got {self.order}")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError(
-                f"expected {self.order + 1} coefficients, got {len(self.coeffs)}"
-            )
-        for v in self.coeffs:
-            self.field.check(v)
+    def __init__(self, field, order, coeffs):
+        super().__init__(field, order, coeffs)
+        if order < 2:
+            raise ValueError(f"order must be >= 2, got {order}")
+        if len(coeffs) != order + 1:
+            raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
+        for v in coeffs:
+            field.check(v)
 
     def full(self):
         return full_from_compact(self)
@@ -170,31 +162,6 @@ def decode(code, field, order):
     return Tensor(field, tuple(digits))
 
 
-def compact_encode(c):
-    """Radix-p code of compact coefficients, coeffs[0] most significant.
-
-    On symmetric tensors, numeric order of compact codes agrees with
-    numeric order of full codes: the first differing flattened position
-    of two symmetric tensors is the first occurrence of their first
-    differing compact class.
-    """
-    code = 0
-    for v in c.coeffs:
-        code = code * c.field.p + v
-    return code
-
-
-def compact_decode(code, field, order):
-    p = field.p
-    if not isinstance(code, Integral) or not 0 <= code < p ** (order + 1):
-        raise ValueError(f"compact code out of range for p={p}, order {order}: {code!r}")
-    code = int(code)
-    coeffs = [0] * (order + 1)
-    for j in range(order, -1, -1):
-        code, coeffs[j] = divmod(code, p)
-    return CompactSym(field, order, tuple(coeffs))
-
-
 # ---------------------------------------------------------------------------
 # Text literals
 # ---------------------------------------------------------------------------
@@ -244,17 +211,22 @@ def format_literal(X, compact=False):
 
 
 # ---------------------------------------------------------------------------
-# numpy helpers shared by the enumeration modules
+# numpy helpers shared by the enumeration modules, which load numpy; the
+# one-tensor queries never call them
 # ---------------------------------------------------------------------------
 
 def full_place_values(p, k):
     """Radix-p place values of the 2^k flattened positions (int64)."""
+    from ._numpy import np
+
     n = 1 << k
     return p ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 def compact_weights(p, k):
     """W with full_code = compact_digits . W for symmetric tensors."""
+    from ._numpy import np
+
     place = full_place_values(p, k)
     pattern = np.array(twos_counts(k))
     return np.array(
@@ -264,6 +236,8 @@ def compact_weights(p, k):
 
 def digits_of_codes(codes, p, width):
     """Digit matrix (len(codes), width) of radix-p codes, MSB first."""
+    from ._numpy import np
+
     codes = np.asarray(codes, dtype=np.int64)
     place = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
     return (codes[:, None] // place[None, :]) % p

@@ -4,16 +4,17 @@ import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import symcanon
-from symcanon import (AsymmetricTensorError, FieldSpec, SymTensor, Tensor, UndecomposableError, classify,
-                      general_rank_strata, is_symmetric, symmetric_rank_strata)
+from symcanon import (AsymmetricTensorError, CompactSym, FieldSpec, SymTensor, Tensor, UndecomposableError,
+                      classify, general_rank_strata, is_symmetric, symmetric_rank_strata)
 from symcanon import rank_strata
-from symcanon.tensor import compact_decode, compact_encode, compact_from_full, digits_of_codes
+from symcanon.tensor import compact_from_full, digits_of_codes
 
 # every (p, k) with a stored reference table
 ALL_PAIRS = [(2, 3), (3, 3), (5, 3), (7, 3), (11, 3), (13, 3), (17, 3),
@@ -26,6 +27,32 @@ def run_python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, check=True).stdout
+
+
+def compact_encode(c):
+    """Radix-p code of compact coefficients, coeffs[0] most significant.
+
+    On symmetric tensors, numeric order of compact codes agrees with
+    numeric order of full codes: the first differing flattened position
+    of two symmetric tensors is the first occurrence of their first
+    differing compact class.
+    """
+    code = 0
+    for v in c.coeffs:
+        code = code * c.field.p + v
+    return code
+
+
+def compact_decode(code, field, order):
+    """Inverse of compact_encode; codes of any integer type, numpy's too."""
+    p = field.p
+    if not isinstance(code, Integral) or not 0 <= code < p ** (order + 1):
+        raise ValueError(f"compact code out of range for p={p}, order {order}: {code!r}")
+    code = int(code)
+    coeffs = [0] * (order + 1)
+    for j in range(order, -1, -1):
+        code, coeffs[j] = divmod(code, p)
+    return CompactSym(field, order, tuple(coeffs))
 
 
 def _memoized(compute):

@@ -20,9 +20,9 @@ from symcanon import (
 )
 from symcanon.rank_strata import DEFAULT_BUDGET
 from symcanon.report import ERRATUM_SUSPECTED, MISMATCH, list_fixtures
-from symcanon.tensor import SymTensor, compact_decode
+from symcanon.tensor import SymTensor
 
-from conftest import ALL_PAIRS, count_stabilizer_directly, general_rank_k3, strata_rank
+from conftest import ALL_PAIRS, compact_decode, count_stabilizer_directly, general_rank_k3, strata_rank
 
 
 def criterion(num, desc, ok):

@@ -218,7 +218,7 @@ def test_timing_starts_after_numpy_is_loaded():
     # __init__ imports, is loaded when classify first reads the clock
     script = """
 import sys, time
-import symcanon
+import symcanon, symcanon.classify
 seen, clock = ["numpy.linalg" in sys.modules], time.perf_counter
 
 def perf_counter():

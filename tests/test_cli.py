@@ -1,3 +1,4 @@
+import ast
 import json
 import shutil
 import time
@@ -247,6 +248,42 @@ assert symcanon.cli.main(["stats", "--p", "7", "--order", "4"]) == 0
 print(loaded + ["numpy.linalg" in sys.modules])
 """
     assert run_python("-c", script).splitlines()[-1] == "[False, True]"
+
+
+def test_queries_import_only_the_query_path():
+    # a fresh process pays for every module it imports: the five one-tensor
+    # commands, on a basis scan, a support enumeration and no basis at all,
+    # undecomposable input included, load no whole-space module
+    script = """
+import sys
+before = set(sys.modules)
+import symcanon.cli
+whole_space = ["dataclasses", "json", "numpy", "symcanon.classify", "symcanon.report", "symcanon.rank_strata"]
+queries = [("17", "3", "c:1,2,3,4"), ("5", "4", "c:0,0,0,1,0"), ("3", "4", "c:0,0,0,1,0")]
+new = {}
+for command in ("rank", "decompose", "canon", "orbit", "stabilizer"):
+    for p, k, tensor in queries:
+        assert symcanon.cli.main([command, "--p", p, "--order", k, "--tensor", tensor]) in (0, 4)
+    new[command] = [m for m in whole_space if m in sys.modules and m not in before]
+new["symcanon"] = sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "symcanon")
+print(repr(new))
+"""
+    new = ast.literal_eval(run_python("-c", script).splitlines()[-1])
+    assert new.pop("symcanon") == ["symcanon", "symcanon._version", "symcanon.apolar", "symcanon.cli",
+                                   "symcanon.errors", "symcanon.gfp", "symcanon.group_action", "symcanon.tensor"]
+    assert new == dict.fromkeys(["rank", "decompose", "canon", "orbit", "stabilizer"], [])
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["stats", "--p", "2", "--order", "3"], "undecomposable,8,50.00"),
+    (["classify", "--p", "3", "--order", "3", "--format", "tabular"], "3,24,0 1 1 0 1 0 0 2"),
+    (["verify-paper", "--all"], "p=3 k=3: table reproduced exactly"),
+])
+def test_whole_space_commands_from_a_fresh_process(capsys, argv, line):
+    # they import the whole-space modules when they run, under -m as well
+    out = run_python("-m", "symcanon.cli", *argv)
+    assert line in out.splitlines()
+    assert run(capsys, *argv) == (0, out, "")
 
 
 def test_rank_queries_count_their_solves_not_the_space(capsys):

@@ -15,7 +15,9 @@ from symcanon import (
     symmetric_outer_power,
     symmetric_rank,
 )
-from symcanon.tensor import compact_decode, twos_counts
+from symcanon.tensor import twos_counts
+
+from conftest import compact_decode
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)

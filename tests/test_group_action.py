@@ -18,9 +18,10 @@ from symcanon import (
     stabilizer_size,
 )
 from symcanon.group_action import _generators, action_stack, orbit_labels
-from symcanon.tensor import compact_decode, compact_encode, compact_weights, digits_of_codes
+from symcanon.tensor import compact_weights, digits_of_codes
 
-from conftest import ALL_PAIRS, GroupElement, act, act_diagonal, count_stabilizer_directly, enumerate_gl2
+from conftest import (ALL_PAIRS, GroupElement, act, act_diagonal, compact_decode, compact_encode, count_stabilizer_directly,
+                      enumerate_gl2)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)

@@ -3,6 +3,7 @@ code that only the tests need lives in the tests."""
 
 import ast
 import importlib
+import json
 import re
 import types
 from pathlib import Path
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import symcanon
+
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,3 +74,31 @@ def test_readme_library_block_imports_exported_names():
     names = [alias.name for node in ast.walk(ast.parse(block))
              if isinstance(node, ast.ImportFrom) and node.module == "symcanon" for alias in node.names]
     assert names and set(names) <= set(symcanon.__all__)
+
+
+def test_lazy_namespace_in_a_fresh_interpreter():
+    # the package imports its exports on first access; importing the
+    # submodule symcanon.classify must not bind the module over the
+    # function of that name, whatever is imported first
+    script = """
+import importlib, json, pkgutil, sys, types
+import symcanon
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "symcanon")
+import symcanon.classify
+checks = {"after_submodule": symcanon.classify is sys.modules["symcanon.classify"].classify}
+for info in pkgutil.iter_modules(symcanon.__path__):
+    importlib.import_module("symcanon." + info.name)
+checks["after_every_submodule"] = symcanon.classify is sys.modules["symcanon.classify"].classify
+checks["no_module"] = not any(isinstance(getattr(symcanon, n), types.ModuleType) for n in symcanon.__all__)
+checks["dir"] = set(symcanon.__all__) <= set(dir(symcanon))
+try:
+    symcanon.no_such_name
+except AttributeError:
+    checks["unknown"] = True
+print(json.dumps({"loaded": loaded, "checks": checks}))
+"""
+    result = json.loads(run_python("-c", script).splitlines()[-1])
+    assert result["loaded"] == ["symcanon", "symcanon._version"]
+    assert result["checks"] == dict.fromkeys(["after_submodule", "after_every_submodule", "no_module", "dir",
+                                              "unknown"], True)
+    assert callable(symcanon.classify) and "no_such_name" not in dir(symcanon)

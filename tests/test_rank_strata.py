@@ -4,7 +4,7 @@ import random
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from math import prod
+from math import comb, gcd, prod
 
 import numpy as np
 import pytest
@@ -28,11 +28,11 @@ from symcanon import (
 )
 from symcanon import apolar, rank_strata
 from symcanon.rank_strata import rank_one_generators
-from symcanon.tensor import compact_decode, compact_encode, compact_from_full
+from symcanon.tensor import compact_from_full
 
 import conftest
-from conftest import (ALL_PAIRS, _parents, act, act_diagonal, enumerate_gl2, general_rank_k3, parent_of, run_python,
-                      strata_rank)
+from conftest import (ALL_PAIRS, _parents, act, act_diagonal, compact_decode, compact_encode, enumerate_gl2,
+                      general_rank_k3, parent_of, run_python, strata_rank)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -88,6 +88,24 @@ def test_stratum_sizes_order4():
     assert s.stratum_sizes() == [1, 6, 21, 56, 126, 240, 395, 570, 690, 660, 360]
     assert s.max_rank == 10
     assert s.undecomposable.size == 0
+
+
+@pytest.mark.parametrize("p", [5, 11, 17, 23, 29])
+def test_closed_form_strata_order3_p_2_mod_3(strata_for, p):
+    # when 3 does not divide p - 1 every element is a cube, so the ranks are
+    # 0; 1 for the simple tensors, one per nonzero multiple of each of the
+    # p + 1 points of P^1; 2 for the sums over two distinct points; and 3
+    # for the rest, with none undecomposable (ROADMAP item 3)
+    s, simple, two = strata_for(p, 3), (p + 1) * (p - 1), comb(p + 1, 2) * (p - 1) ** 2
+    assert s.stratum_sizes() == [1, simple, two, p**4 - 1 - simple - two]
+    assert s.undecomposable_count == 0
+
+
+@pytest.mark.parametrize("p, k", ALL_PAIRS + [(19, 3), (11, 4), (13, 4)])
+def test_rank_one_count_closed_form(strata_for, p, k):
+    # a simple tensor is lam c(P): p + 1 points P, and lam among the
+    # (p - 1) / gcd(k, p - 1) nonzero k-th powers
+    assert strata_for(p, k).stratum_sizes()[1] == (p + 1) * (p - 1) // gcd(k, p - 1)
 
 
 def test_undecomposable_set_f2_order3():
@@ -419,13 +437,12 @@ def test_corrupt_parent_link_detected_under_python_O():
     # python -O strips assert statements; decompose must still refuse
     script = """
 import copy
-from symcanon import FieldSpec, apolar, decompose
-from symcanon.tensor import compact_decode
+from symcanon import FieldSpec, apolar, decompose, parse_literal
 table = copy.copy(apolar._point_table(3, 3))
 table.w = [0, 5, 5]
 apolar._point_table = lambda p, k: table
 try:
-    decompose(compact_decode(10, FieldSpec(3), 3).full())  # the least code of rank 2
+    decompose(parse_literal("c:0,1,0,1", FieldSpec(3)))  # the least code of rank 2
 except AssertionError as exc:
     print("raised:", exc)
 """

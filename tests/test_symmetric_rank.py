@@ -14,9 +14,8 @@ from symcanon import (FieldSpec, SymTensor, Tensor, classify, decompose, is_symm
                       symmetric_rank)
 from symcanon import apolar
 from symcanon.apolar import _point_table
-from symcanon.tensor import compact_decode
 
-from conftest import ALL_PAIRS, parent_of
+from conftest import ALL_PAIRS, compact_decode, parent_of
 
 # the stored pairs whose spaces hold at most about 30 000 codes
 SMALL_PAIRS = [(p, k) for p, k in ALL_PAIRS if p ** (k + 1) <= 30000]

@@ -12,14 +12,18 @@ from symcanon import (
     Tensor,
     compact_from_full,
     decode,
+    decompose,
     encode,
     format_literal,
     full_from_compact,
     is_symmetric,
+    orbit,
     parse_literal,
     symmetric_outer_power,
 )
-from symcanon.tensor import compact_decode, twos_counts
+from symcanon.tensor import twos_counts
+
+from conftest import compact_decode
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -285,3 +289,32 @@ def test_compact_literal_round_trip(which, k, coeffs):
     comp = CompactSym(f, k, tuple(c % p for c in coeffs[: k + 1]))
     X = full_from_compact(comp)
     assert parse_literal(format_literal(X, compact=True), f) == X
+
+
+def test_value_classes_keep_the_frozen_dataclass_behaviour():
+    # the query path's value classes are plain classes, so that a query
+    # never imports dataclasses: fields, repr, equality, hash and
+    # immutability are those the frozen dataclasses had
+    X = parse_literal("c:0,1,0,1", F3)
+    values = [F3, X, Tensor(F3, X.entries), compact_from_full(X), orbit(X), decompose(X)]
+    assert [repr(v) for v in values] == [
+        "FieldSpec(p=3)",
+        "SymTensor(field=FieldSpec(p=3), entries=(0, 1, 1, 0, 1, 0, 0, 1))",
+        "Tensor(field=FieldSpec(p=3), entries=(0, 1, 1, 0, 1, 0, 0, 1))",
+        "CompactSym(field=FieldSpec(p=3), order=3, coeffs=(0, 1, 0, 1))",
+        "Orbit(tensor=SymTensor(field=FieldSpec(p=3), entries=(0, 1, 1, 0, 1, 0, 0, 1)), canonical=1000, size=24)",
+        "Witness(vectors=((1, 2), (2, 2)))",
+    ]
+    for v in values:
+        fields = [getattr(v, name) for name in v.__match_args__]
+        copy = type(v)(*fields)
+        assert copy == v and hash(copy) == hash(v) and hash(v) == hash(tuple(fields))
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(v, v.__match_args__[0], fields[0])
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            delattr(v, v.__match_args__[0])
+    assert values[1] == values[2] and hash(values[1]) == hash(values[2])  # SymTensor == Tensor by value
+    assert F3 != FieldSpec(5) and values[3] != CompactSym(F3, 3, (0, 1, 0, 2))
+    assert F3 != (3,) and values[5] != ((1, 2), (2, 2))
+    with pytest.raises(TypeError):
+        type(values[5])()
