@@ -18,15 +18,13 @@ from ._version import __version__
 
 # each exported name, in the order of __all__, and the submodule that defines it
 _SOURCE = {name: module for module, names in [
-    ("apolar", "decompose symmetric_rank"),
+    ("apolar", "Witness decompose symmetric_rank"),
     ("classify", "classify ClassificationReport OrbitRecord"),
     ("errors", "AsymmetricTensorError BudgetExceededError FixtureError MissingFixtureError SymcanonError "
                "UndecomposableError"),
     ("gfp", "FieldSpec is_prime"),
     ("group_action", "Orbit canonical_form group_order orbit stabilizer_size DEFAULT_BUDGET"),
-    ("rank_strata", "GeneralRankStratification RankStratification"),
-    ("apolar", "Witness"),
-    ("rank_strata", "general_rank_strata symmetric_rank_strata"),
+    ("rank_strata", "GeneralRankStratification RankStratification general_rank_strata symmetric_rank_strata"),
     ("report", "Discrepancy diff emit load_fixture"),
     ("tensor", "CompactSym SymTensor Tensor compact_from_full decode encode format_literal full_from_compact "
                "is_symmetric parse_literal symmetric_outer_power"),

@@ -11,35 +11,27 @@ by the published tables.
 """
 
 import time
-from dataclasses import dataclass, field as dataclass_field
 
 from ._numpy import np
+from .gfp import Frozen
 from .group_action import DEFAULT_BUDGET, _full_code, action_stack, group_order
 from .rank_strata import symmetric_rank_strata
 from .tensor import digits_of_codes, twos_counts
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(Frozen):
     """One orbit: rank (None = no symmetric decomposition), sizes, canonical."""
 
-    rank: object            # int or None
-    canonical: tuple        # flattened entries of the minimal member
-    canonical_code: int
-    orbit_size: int
-    stabilizer_size: int
+    # rank: int or None; canonical: the flattened entries of the minimal
+    # member, whose full code is canonical_code
+    __match_args__ = ("rank", "canonical", "canonical_code", "orbit_size", "stabilizer_size")
 
 
-@dataclass
-class ClassificationReport:
-    p: int
-    order: int
-    group_order: int
-    stratum_counts: list
-    undecomposable_count: int
-    records: list
-    undecomposable_records: list
-    timing_seconds: float = dataclass_field(default=0.0)
+class ClassificationReport(Frozen):
+    """The orbits of one (p, order): records by rank, undecomposable ones apart."""
+
+    __match_args__ = ("p", "order", "group_order", "stratum_counts", "undecomposable_count",
+                      "records", "undecomposable_records", "timing_seconds")
 
     @property
     def max_rank(self):

@@ -1,8 +1,8 @@
 """The prime field F_p: a primality test and canonical residues 0..p-1.
 
-Also the base of the package's small immutable value classes (FieldSpec
-and those of the one-tensor queries), which take the place of frozen
-dataclasses so that a query never imports dataclasses and inspect.
+Also Frozen, the base of every value class in the package, which takes
+the place of frozen dataclasses so that no module imports dataclasses
+and inspect.
 """
 
 
@@ -36,14 +36,18 @@ def is_prime(n):
 
 
 class Frozen:
-    """Fields set once at construction, with the repr, equality and hash of
-    a frozen dataclass.  A subclass names its fields in __match_args__, as
-    a dataclass does; one that checks them extends __init__."""
+    """The base of every value class: fields set once at construction, by
+    position or keyword, with the repr, equality and hash of a frozen
+    dataclass.  A subclass names its fields in __match_args__, as a
+    dataclass does; one that checks them extends __init__.  Fields have no
+    defaults, and cached_property still works, as it writes the instance
+    __dict__ directly."""
 
     __match_args__ = ()
 
-    def __init__(self, *values):
-        if len(values) != len(self.__match_args__):
+    def __init__(self, *values, **named):
+        values += tuple(named.pop(name) for name in self.__match_args__[len(values):] if name in named)
+        if named or len(values) != len(self.__match_args__):
             raise TypeError(f"{type(self).__qualname__} takes the fields {self.__match_args__}")
         for name, value in zip(self.__match_args__, values):
             object.__setattr__(self, name, value)

@@ -52,12 +52,11 @@ space (p = 7, k = 4 with ~3.3e13 codes fails explicitly); codes are
 int32, so spaces beyond 2^31 codes are refused whatever the budget.
 """
 
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, partial, reduce
 
 from ._numpy import np
-from .apolar import Witness, rank_one_generators  # Witness only re-exported
-from .gfp import FieldSpec
+from .apolar import rank_one_generators
+from .gfp import Frozen
 from .group_action import DEFAULT_BUDGET, _refuse_oversized, action_stack, orbit_labels
 from .tensor import compact_weights, digits_of_codes, encode, full_place_values
 
@@ -67,8 +66,7 @@ _PUSH_FACTOR = 10
 _PULL_CHUNK = 1 << 18
 
 
-@dataclass
-class RankStratification:
+class RankStratification(Frozen):
     """Symmetric-rank layers of all p^(k+1) symmetric tensors.
 
     Ranks, orbit labels and generator codes are kept on compact codes.
@@ -76,12 +74,9 @@ class RankStratification:
     undecomposable (those never reached), are built on first access.
     """
 
-    field: FieldSpec
-    order: int
-    generator_vectors: list      # vector per generator, BFS tie-break order
-    _rank_of: "np.ndarray" = dataclass_field(repr=False, default=None)
-    _gen_codes: "np.ndarray" = dataclass_field(repr=False, default=None)  # compact, per generator
-    _labels: "np.ndarray" = dataclass_field(repr=False, default=None)  # orbit_labels of the space
+    # generator_vectors: the vector per generator, in BFS tie-break order;
+    # _gen_codes: the compact code per generator; _labels: the space's orbit_labels
+    __match_args__ = ("field", "order", "generator_vectors", "_rank_of", "_gen_codes", "_labels")
 
     @cached_property
     def _counts(self):  # [undecomposable, rank 0, rank 1, ...]
@@ -180,8 +175,7 @@ def _translated(frontier, T, IH, IL, H, rows):
 # General (unconstrained) rank over the full tensor space
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GeneralRankStratification:
+class GeneralRankStratification(Frozen):
     """Rank layers of the full p^(2^k) tensor space.
 
     Holds per-layer sizes and a rank lookup table over full codes; the
@@ -193,10 +187,7 @@ class GeneralRankStratification:
     to whole classes (see the module docstring).
     """
 
-    field: FieldSpec
-    order: int
-    sizes: list
-    _rank_of: "np.ndarray" = dataclass_field(repr=False, default=None)
+    __match_args__ = ("field", "order", "sizes", "_rank_of")
 
     @property
     def max_rank(self):

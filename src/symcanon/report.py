@@ -31,11 +31,11 @@ repeated runs emit byte-identical documents.
 import json
 import os
 import re
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ._version import __version__
 from .errors import FixtureError, MissingFixtureError
+from .gfp import Frozen
 from .tensor import twos_counts
 
 SCHEMA_VERSION = "1"
@@ -104,43 +104,23 @@ ERRATUM_SUSPECTED = "ERRATUM-SUSPECTED"
 MISMATCH = "MISMATCH"
 
 
-@dataclass(frozen=True)
-class FixtureRow:
-    index: int
-    rank: int
-    orbit_size: int
-    canonical: tuple
+class FixtureRow(Frozen):
+    __match_args__ = ("index", "rank", "orbit_size", "canonical")
 
 
-@dataclass(frozen=True)
-class ErratumNote:
-    id: str
-    classification: str
-    rows: tuple
-    fields: tuple
-    printed: str
-    reason: str
+class ErratumNote(Frozen):
+    __match_args__ = ("id", "classification", "rows", "fields", "printed", "reason")
 
 
-@dataclass(frozen=True)
-class FixtureTable:
-    p: int
-    order: int
-    rows: tuple
-    errata: tuple
+class FixtureTable(Frozen):
+    __match_args__ = ("p", "order", "rows", "errata")
 
 
-@dataclass(frozen=True)
-class Discrepancy:
-    classification: str  # ERRATUM-SUSPECTED or MISMATCH
-    p: int
-    order: int
-    erratum_id: object   # str or None
-    rank: object         # int or None
-    field: str
-    printed: str
-    computed: str
-    note: str
+class Discrepancy(Frozen):
+    # classification: ERRATUM-SUSPECTED or MISMATCH; erratum_id: str or
+    # None; rank: int or None
+    __match_args__ = ("classification", "p", "order", "erratum_id", "rank", "field", "printed",
+                      "computed", "note")
 
     def line(self):
         where = f"p={self.p} k={self.order}"
@@ -381,7 +361,8 @@ def build_document(report, include_timing=False):
     """Assemble the serializable document for a classification report."""
     space = report.p ** (report.order + 1)
     try:
-        errata = [asdict(note) for note in load_fixture(report.p, report.order).errata]
+        errata = [{name: getattr(note, name) for name in note.__match_args__}
+                  for note in load_fixture(report.p, report.order).errata]
     except MissingFixtureError:
         errata = []
     doc = {

@@ -8,6 +8,7 @@ import pytest
 from symcanon import (
     CompactSym,
     FieldSpec,
+    RankStratification,
     canonical_form,
     classify,
     compact_from_full,
@@ -185,9 +186,9 @@ def test_rank_not_constant_on_an_orbit_raises(monkeypatch):
     for code in (1, 27):
         def corrupt(field, k, budget, stack, code=code):
             s = real(field, k, budget, stack)
-            s._rank_of = s._rank_of.copy()
-            s._rank_of[code] = 2
-            return s
+            rank_of = s._rank_of.copy()
+            rank_of[code] = 2
+            return RankStratification(s.field, s.order, s.generator_vectors, rank_of, s._gen_codes, s._labels)
 
         monkeypatch.setattr(classify_mod, "symmetric_rank_strata", corrupt)
         with pytest.raises(AssertionError, match="not constant on an orbit"):

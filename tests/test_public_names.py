@@ -102,3 +102,17 @@ print(json.dumps({"loaded": loaded, "checks": checks}))
     assert result["checks"] == dict.fromkeys(["after_submodule", "after_every_submodule", "no_module", "dir",
                                               "unknown"], True)
     assert callable(symcanon.classify) and "no_such_name" not in dir(symcanon)
+
+
+def test_whole_space_modules_import_no_dataclasses():
+    # every value class builds on gfp.Frozen, so no module of the package
+    # imports dataclasses (and inspect), and numpy stays unexecuted behind
+    # _numpy until a whole-space function runs
+    script = """
+import sys
+before = set(sys.modules)
+import symcanon.report, symcanon.classify, symcanon.rank_strata
+from symcanon import *
+print(sorted(m for m in ("dataclasses", "numpy.linalg") if m in sys.modules and m not in before))
+"""
+    assert run_python("-c", script).splitlines()[-1] == "[]"

@@ -10,17 +10,23 @@ from symcanon import (
     FieldSpec,
     SymTensor,
     Tensor,
+    classify,
     compact_from_full,
     decode,
     decompose,
+    diff,
     encode,
     format_literal,
     full_from_compact,
+    general_rank_strata,
     is_symmetric,
+    load_fixture,
     orbit,
     parse_literal,
     symmetric_outer_power,
+    symmetric_rank_strata,
 )
+from symcanon.report import ERRATUM_SUSPECTED, ErratumNote, FixtureTable
 from symcanon.tensor import twos_counts
 
 from conftest import compact_decode
@@ -291,10 +297,31 @@ def test_compact_literal_round_trip(which, k, coeffs):
     assert parse_literal(format_literal(X, compact=True), f) == X
 
 
+def _check_fields(v):
+    """The fields of value v, after checking that the same objects build an
+    equal-field copy by position, by keyword and mixed, that a missing, an
+    unknown or a doubled field is a TypeError, and that no field can be
+    assigned or deleted."""
+    names = v.__match_args__
+    fields = [getattr(v, name) for name in names]
+    named = dict(zip(names, fields))
+    mixed = dict(zip(names[1:], fields[1:]))
+    for copy in (type(v)(*fields), type(v)(**named), type(v)(fields[0], **mixed)):
+        assert type(copy) is type(v) and all(getattr(copy, name) is named[name] for name in names)
+    for args, kwargs in [(fields[:-1], {}), ((), mixed), (fields, {"other": 0}), (fields, {names[-1]: fields[-1]})]:
+        with pytest.raises(TypeError):
+            type(v)(*args, **kwargs)
+    with pytest.raises(AttributeError, match="cannot assign to field"):
+        setattr(v, names[0], fields[0])
+    with pytest.raises(AttributeError, match="cannot delete field"):
+        delattr(v, names[0])
+    return fields
+
+
 def test_value_classes_keep_the_frozen_dataclass_behaviour():
-    # the query path's value classes are plain classes, so that a query
-    # never imports dataclasses: fields, repr, equality, hash and
-    # immutability are those the frozen dataclasses had
+    # the package's value classes are plain classes, so that it never
+    # imports dataclasses: fields, repr, equality, hash and immutability
+    # are those the frozen dataclasses had
     X = parse_literal("c:0,1,0,1", F3)
     values = [F3, X, Tensor(F3, X.entries), compact_from_full(X), orbit(X), decompose(X)]
     assert [repr(v) for v in values] == [
@@ -306,15 +333,49 @@ def test_value_classes_keep_the_frozen_dataclass_behaviour():
         "Witness(vectors=((1, 2), (2, 2)))",
     ]
     for v in values:
-        fields = [getattr(v, name) for name in v.__match_args__]
+        fields = _check_fields(v)
         copy = type(v)(*fields)
         assert copy == v and hash(copy) == hash(v) and hash(v) == hash(tuple(fields))
-        with pytest.raises(AttributeError, match="cannot assign to field"):
-            setattr(v, v.__match_args__[0], fields[0])
-        with pytest.raises(AttributeError, match="cannot delete field"):
-            delattr(v, v.__match_args__[0])
     assert values[1] == values[2] and hash(values[1]) == hash(values[2])  # SymTensor == Tensor by value
     assert F3 != FieldSpec(5) and values[3] != CompactSym(F3, 3, (0, 1, 0, 2))
     assert F3 != (3,) and values[5] != ((1, 2), (2, 2))
     with pytest.raises(TypeError):
         type(values[5])()
+
+
+def test_whole_space_value_classes_are_frozen_too():
+    # orbit records, reports, strata and audit records share the query
+    # classes' base: the five that were frozen dataclasses keep their
+    # repr, equality and hash; the report and both stratifications, which
+    # were mutable, now refuse assignment and keep their cached properties
+    report, table = classify(F3, 3), load_fixture(3, 3)
+    note = ErratumNote("E1", ERRATUM_SUSPECTED, (1,), ("orbit_size",), "9", "a test note")
+    (missing,) = diff(report, FixtureTable(3, 3, table.rows[:-1], ()))
+    values = [report.records[1], table.rows[1], note, FixtureTable(3, 3, table.rows[:1], (note,)), missing]
+    assert [repr(v) for v in values] == [
+        "OrbitRecord(rank=1, canonical=(0, 0, 0, 0, 0, 0, 0, 1), canonical_code=1, orbit_size=8, "
+        "stabilizer_size=6)",
+        "FixtureRow(index=1, rank=1, orbit_size=8, canonical=(0, 0, 0, 0, 0, 0, 0, 1))",
+        "ErratumNote(id='E1', classification='ERRATUM-SUSPECTED', rows=(1,), fields=('orbit_size',), "
+        "printed='9', reason='a test note')",
+        "FixtureTable(p=3, order=3, rows=(FixtureRow(index=0, rank=0, orbit_size=1, "
+        "canonical=(0, 0, 0, 0, 0, 0, 0, 0)),), errata=(ErratumNote(id='E1', "
+        "classification='ERRATUM-SUSPECTED', rows=(1,), fields=('orbit_size',), printed='9', "
+        "reason='a test note'),))",
+        "Discrepancy(classification='MISMATCH', p=3, order=3, erratum_id=None, rank=4, field='row', "
+        "printed='absent', computed='size 16, canonical 0 0 0 1 0 1 1 1', "
+        "note='computed orbit missing from the table')",
+    ]
+    for v in values:
+        fields = _check_fields(v)
+        copy = type(v)(*fields)
+        assert copy == v and hash(copy) == hash(v) and hash(v) == hash(tuple(fields))
+        assert v != type(v)(*fields[:-1], "other") and v != tuple(fields)
+    fields = _check_fields(report)
+    assert type(report)(*fields) == report != type(report)(*fields[:-1], -1.0)
+    strata, general = symmetric_rank_strata(F3, 3), general_rank_strata(F2, 3)
+    for v in (strata, general):
+        _check_fields(v)
+    assert strata.strata is strata.strata and [s.size for s in strata.strata] == strata.stratum_sizes()
+    assert strata.undecomposable is strata.undecomposable and strata.undecomposable.size == 0
+    assert repr(strata).startswith("RankStratification(field=FieldSpec(p=3), order=3, generator_vectors=")
