@@ -1,13 +1,13 @@
-"""Full classification: one orbit labelling gives orbits and ranks.
+"""Full classification: the orbits that the rank search writes.
 
-`orbit_labels` gives every compact code the least code of its orbit, so
-the canonical forms are the codes labelled by themselves, and a count of
-the labels (`np.bincount`) gives the orbit sizes.  The symmetric strata
-are searched on the same labels, so each code has its label's rank; a
-code whose rank differs means the rank table was corrupted and raises.
-Tensors without a symmetric decomposition are processed the same way and
-reported separately; their orbit structure is an extension not covered
-by the published tables.
+`symmetric_rank_strata` writes each orbit whole the first time its search
+reaches it and keeps one (rank, least compact code, size) triple per
+orbit; the least code is the canonical form.  `classify` orders them by
+rank, undecomposable first, then by canonical code, and checks the
+counting identity: the orbit sizes sum to p^(k+1).  Tensors without a
+symmetric decomposition are processed the same way and reported
+separately; their orbit structure is an extension not covered by the
+published tables.
 """
 
 import time
@@ -47,28 +47,22 @@ def classify(field, k, budget=DEFAULT_BUDGET):
     t0 = time.perf_counter()
     p = field.p
     strata = symmetric_rank_strata(field, k, budget, action_stack(field, k))
-    lab, rank_of = strata._labels, strata._rank_of
-    if (rank_of.take(lab) != rank_of).any():
-        raise AssertionError("rank is not constant on an orbit; rank table corrupt")
-    counts = np.bincount(lab)
-    canon = np.flatnonzero(counts)  # the labels, i.e. the codes labelled by themselves
-    sizes, ranks = counts[canon], rank_of[canon]
-    digits = digits_of_codes(canon, p, k + 1)
-    full_codes = list(map(_full_code(p, k), digits.tolist()))  # p^16 passes int64 from p = 17
-    entries = digits[:, list(twos_counts(k))]
-    n_group = group_order(field)
-    # canonical codes ascend, so a stable sort by rank (-1 first) orders the records
+    orbits = sorted(strata._orbits)  # rank -1 first, then canonical codes ascending
+    if sum(size for _, _, size in orbits) != p ** (k + 1):
+        raise AssertionError(f"orbit sizes do not sum to p^(k+1) = {p ** (k + 1)}; orbit table corrupt")
+    digits = digits_of_codes([code for _, code, _ in orbits], p, k + 1).tolist()
+    n_group, full_code = group_order(field), _full_code(p, k)  # p^16 passes int64 from p = 17
     records = [
         OrbitRecord(
-            rank=None if ranks[i] < 0 else int(ranks[i]),
-            canonical=tuple(int(v) for v in entries[i]),
-            canonical_code=full_codes[i],
-            orbit_size=int(sizes[i]),
-            stabilizer_size=n_group // int(sizes[i]),
+            rank=None if rank < 0 else rank,
+            canonical=tuple(d[j] for j in twos_counts(k)),
+            canonical_code=full_code(d),
+            orbit_size=size,
+            stabilizer_size=n_group // size,
         )
-        for i in np.argsort(ranks, kind="stable")
+        for (rank, _, size), d in zip(orbits, digits)
     ]
-    n_undec = int(np.count_nonzero(ranks < 0))
+    n_undec = sum(rank < 0 for rank, _, _ in orbits)
     return ClassificationReport(
         p=p,
         order=k,

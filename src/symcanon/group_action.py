@@ -6,23 +6,21 @@ applies the same g along every mode, which is exactly the change of
 basis that preserves symmetry.  On the k+1 compact coefficients of a
 symmetric tensor g acts by a (k+1) x (k+1) matrix whose entries are
 integer sums of products of g's entries, so it is exact in every
-characteristic.  Two elements generate GL2(F_p), so the orbits are the
-connected components of the two code permutations they induce on
-compact codes; `orbit_labels` finds them by min-label propagation with
-pointer jumping (Shiloach and Vishkin, "An O(log n) parallel
-connectivity algorithm", J. Algorithms 1982).
+characteristic.
 
-One tensor's orbit needs only its own images.  GL2 is the disjoint union
-of the cosets T h of the diagonal torus T, one for each ordered pair of
-distinct points of P^1 as the rows of h, normalised as (1, t) or (0, 1).
+An orbit is read off its own images.  GL2 is the disjoint union of the
+cosets T h of the diagonal torus T, one for each ordered pair of distinct
+points of P^1 as the rows of h, normalised as (1, t) or (0, 1).
 diag(a, d) h scales class j of h's image by lam * mu^j, with lam = a^k in
 the group K of nonzero k-th powers and mu = d / a, and each (lam, mu) is
 hit by gcd(k, p - 1) torus elements.  So `_scan` reads the canonical form
-and the stabilizer off p (p + 1) (p - 1) vectors in pure Python, scaling
-each by the lam in K that makes it least.
+and the stabilizer of one tensor off p (p + 1) (p - 1) vectors in pure
+Python, scaling each by the lam in K that makes it least, and
+`rank_strata` writes every orbit of the space from the same coset
+matrices, which `action_stack` holds as one array.
 """
 
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
@@ -31,7 +29,7 @@ from .gfp import Frozen
 from .tensor import CompactSym, compact_from_full, full_from_compact, twos_counts
 
 DEFAULT_BUDGET = 10**8
-_MAX_CODES = 1 << 31  # orbit labels and translation tables hold int32 codes
+_MAX_CODES = 1 << 31  # orbit images and translation tables hold int32 codes
 
 
 def _refuse_oversized(space_name, size, budget, int32=True):
@@ -86,63 +84,6 @@ def _convolve(u, v):
 
 
 # ---------------------------------------------------------------------------
-# Orbits as components of two generators on compact codes
-# ---------------------------------------------------------------------------
-
-def _generators(field):
-    """Two matrices that generate GL2(F_p): a transvection and the swap at
-    p = 2, otherwise diag(w, 1) for the least primitive root w and
-    [[-1, 1], [-1, 0]]."""
-    p = field.p
-    if p == 2:
-        return ((1, 1), (0, 1)), ((0, 1), (1, 0))
-    w = next(w for w in range(2, p) if len({pow(w, e, p) for e in range(p - 1)}) == p - 1)
-    return ((w, 0), (0, 1)), ((p - 1, 1), (p - 1, 0))
-
-
-def action_stack(field, k):
-    """(2, k+1, k+1) int64 matrices of the two generators on compact
-    coefficients: the image of coefficients c is S @ c mod p."""
-    from ._numpy import np
-
-    p = field.p
-    mats = [_compact_matrix(_powers(row1, k, p), _powers(row2, k, p), p) for row1, row2 in _generators(field)]
-    return np.array(mats, dtype=np.int64)
-
-
-def orbit_labels(stack, p):
-    """The least compact code of the orbit of every compact code, as an
-    int32 array indexed by compact code.
-
-    A generator's image of every code is built digit by digit: each output
-    digit's linear combination is a Kronecker sum over the input digits,
-    reduced mod p once.  Each round lowers every label to that of the
-    code's image under each generator, then jumps lab = lab[lab]; labels
-    only fall and stay inside their component, and at the fixpoint each is
-    its component's minimum.  Codes stay below the int32 limit, which every
-    caller checks first.
-    """
-    from ._numpy import np
-
-    digit, zero = np.arange(p, dtype=np.int32), np.zeros(1, dtype=np.int32)
-    images = []
-    for g in stack.tolist():
-        image = 0
-        for row in g:  # output digits, most significant first
-            image = image * p + reduce(lambda acc, s: (acc[:, None] + digit * s).ravel(), row, zero) % p
-        images.append(image)
-    lab = np.arange(p ** stack.shape[1], dtype=np.int32)
-    while True:
-        new = lab
-        for image in images:
-            new = np.minimum(new, new.take(image))
-        new = new.take(new)  # take gathers by int32 indices faster than new[new]
-        if np.array_equal(new, lab):
-            return lab
-        lab = new
-
-
-# ---------------------------------------------------------------------------
 # One orbit from its own images
 # ---------------------------------------------------------------------------
 
@@ -151,6 +92,14 @@ def _coset_matrices(p, k):
     """The compact action of one h per coset T h of the torus in GL2."""
     powers = [_powers(point, k, p) for point in [(1, t) for t in range(p)] + [(0, 1)]]
     return [_compact_matrix(u, v, p) for u in powers for v in powers if u is not v]
+
+
+def action_stack(field, k):
+    """(p (p + 1), k+1, k+1) int64 array of _coset_matrices: the image of
+    coefficients c under coset h is S[h] @ c mod p."""
+    from ._numpy import np
+
+    return np.array(_coset_matrices(field.p, k), dtype=np.int64)
 
 
 def _kth_powers(p, k):

@@ -1,4 +1,4 @@
-"""Rank strata, searched layer by layer on one representative per class.
+"""Rank strata, searched one orbit at a time.
 
 Stratum 0 is the zero tensor, stratum 1 the simple tensors (generators);
 an unranked X + g with X in stratum r - 1 has rank r, and tensors never
@@ -9,12 +9,19 @@ the generators a^(x)k are GL2-stable: g.a^(x)k = (ga)^(x)k.  So X = Y + b
 gives h.X = h.Y + h.b for every h, and the orbits of rank r are exactly
 the unranked orbits of Y + b over one representative Y of each orbit of
 rank r - 1 and every generator b.  `symmetric_rank_strata` runs that
-search on the orbit labels (`orbit_labels`; 6 to 52 orbits on the stored
-pairs), adding the k+1 class coefficients digit-wise, and each code takes
-the rank of its label.  No parent links are stored: the derivation of a
-code c of rank r is the least pred * G + gen with pred = c - generator
-gen of rank r - 1.  Generators are ordered by their least generating
-vector, so witnesses are reproducible.
+search over orbits (6 to 108 of them up to p = 23), adding the k+1 class
+coefficients digit-wise; a sum still unranked starts an orbit, which is
+written whole from its own images (see `group_action`): lam mu^j z_j for
+the coset images z = M_h c of `action_stack`, mu in F_p^* and lam in K,
+the nonzero k-th powers.  With one gather table per class j, an orbit is
+k + 1 gathers and adds.  Its least image is its canonical form, and its
+size is |GL2| / (gcd(k, p - 1) * the number of images equal to the
+least), the count `_scan` makes.  Codes still unranked after the last
+layer (at (2,3), (2,4) and (3,4)) are swept one orbit at a time the same
+way.  No parent links are stored: the derivation of a code c of rank r
+is the least pred * G + gen with pred = c - generator gen of rank r - 1.
+Generators are ordered by their least generating vector, so witnesses
+are reproducible.
 
 General strata run on full codes u1 * p^m + u2, m = 2^(k-1), whose two
 m-digit slices u1, u2 are the mode-1 slices X1 and X2, and keep only
@@ -53,11 +60,12 @@ int32, so spaces beyond 2^31 codes are refused whatever the budget.
 """
 
 from functools import cached_property, partial, reduce
+from math import gcd
 
 from ._numpy import np
 from .apolar import rank_one_generators
 from .gfp import Frozen
-from .group_action import DEFAULT_BUDGET, _refuse_oversized, action_stack, orbit_labels
+from .group_action import DEFAULT_BUDGET, _kth_powers, _refuse_oversized, action_stack, group_order
 from .tensor import compact_weights, digits_of_codes, encode, full_place_values
 
 # a layer pushes iff |frontier| * G <= _PUSH_FACTOR * |unranked|; each
@@ -69,18 +77,23 @@ _PULL_CHUNK = 1 << 18
 class RankStratification(Frozen):
     """Symmetric-rank layers of all p^(k+1) symmetric tensors.
 
-    Ranks, orbit labels and generator codes are kept on compact codes.
-    The full-code lists, strata[r] (the codes of rank r) and
-    undecomposable (those never reached), are built on first access.
+    Ranks and generator codes are kept on compact codes, with one
+    (rank, least compact code, size) triple per orbit, rank -1 for the
+    undecomposable ones.  The full-code lists, strata[r] (the codes of
+    rank r) and undecomposable (those never reached), are built on first
+    access.
     """
 
     # generator_vectors: the vector per generator, in BFS tie-break order;
-    # _gen_codes: the compact code per generator; _labels: the space's orbit_labels
-    __match_args__ = ("field", "order", "generator_vectors", "_rank_of", "_gen_codes", "_labels")
+    # _gen_codes: the compact code per generator; _orbits: the orbit triples
+    __match_args__ = ("field", "order", "generator_vectors", "_rank_of", "_gen_codes", "_orbits")
+    # numpy arrays have no truth value, so a stratification equals only itself
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @cached_property
     def _counts(self):  # [undecomposable, rank 0, rank 1, ...]
-        return np.bincount(self._rank_of + 1).tolist()
+        top = max(r for r, _, _ in self._orbits)
+        return [sum(n for r, _, n in self._orbits if r == s) for s in range(-1, top + 1)]
 
     @property
     def max_rank(self):
@@ -111,24 +124,55 @@ class RankStratification(Frozen):
 
 
 def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET, stack=None):
-    """Symmetric rank of every compact code over F_p, order k, searched on
-    the orbit labels; `stack` is action_stack(field, k) if already built."""
+    """Symmetric rank of every compact code over F_p, order k, searched one
+    orbit at a time; `stack` is action_stack(field, k) if already built."""
     p = field.p
     _refuse_oversized("symmetric code space", p ** (k + 1), budget)
     gens = rank_one_generators(field, k)
     gen_codes = np.array([c for c, _ in gens], dtype=np.int64)
-    lab = orbit_labels(action_stack(field, k) if stack is None else stack, p)
-    # the rank of each orbit, at its label: layer r holds the unranked
-    # labels of every label of rank r - 1 plus every generator, digit-wise
+    rank = np.full(p ** (k + 1), -1, dtype=np.int8)
+    write = _orbit_writer(action_stack(field, k) if stack is None else stack, rank, group_order(field), p, k)
+    # layer r: the unranked sums of each representative of rank r - 1 and
+    # every generator, digit-wise; each starts an orbit, written whole
     place, gen_digits = p ** np.arange(k, -1, -1), digits_of_codes(gen_codes, p, k + 1)
-    rank = np.full(lab.size, -1, dtype=np.int8)
-    rank[0], reps, r = 0, np.zeros(1, dtype=np.int64), 0  # zero is its own orbit
-    while reps.size:
+    orbits, layer, r = [(0, *write(0, 0))], [0], 0  # zero is its own orbit
+    while layer:
         r += 1
-        hit = lab.take((digits_of_codes(reps, p, k + 1)[:, None] + gen_digits) % p @ place)
-        rank[hit[rank[hit] < 0]] = r
-        reps = np.flatnonzero(rank == r)
-    return RankStratification(field, k, [vec for _, vec in gens], rank.take(lab), gen_codes, lab)
+        sums = ((digits_of_codes(layer, p, k + 1)[:, None] + gen_digits) % p @ place).ravel()
+        fresh = [(r, *write(c, r)) for c in sums[rank[sums] == -1].tolist() if rank[c] == -1]
+        orbits += fresh
+        layer = [c for _, c, _ in fresh]
+    # codes never reached are undecomposable; they are swept one orbit at a
+    # time, marked -2 so that only unswept codes (-1) start one, then -1
+    if sum(n for _, _, n in orbits) < rank.size:
+        orbits += [(-1, *write(c, -2)) for c in np.flatnonzero(rank == -1).tolist() if rank[c] == -1]
+        rank[rank == -2] = -1
+    return RankStratification(field, k, [vec for _, vec in gens], rank, gen_codes, orbits)
+
+
+def _orbit_writer(stack, rank, n_group, p, k):
+    """write(code, r): writes r to the orbit of a compact code in `rank`
+    and returns (least compact code, orbit size).
+
+    The images are lam mu^j z_j over the coset images z = stack @ c, with
+    gather tables A[j, z, s] = (z lam_s mu_s^j mod p) p^(k-j), one column s
+    per (lam, mu) in K x F_p^*, in int32, as every code is below 2^31."""
+    K = _kth_powers(p, k)
+    scales = [[lam * pow(mu, j, p) % p for lam in K for mu in range(1, p)] for j in range(k + 1)]
+    place = p ** np.arange(k, -1, -1)
+    A = (np.arange(p)[:, None] * np.array(scales)[:, None] % p * place[:, None, None]).astype(np.int32)
+    per_image = gcd(k, p - 1)  # torus elements giving each (lam, mu)
+
+    def write(code, r):
+        z = stack @ digits_of_codes([code], p, k + 1)[0] % p
+        codes = A[0][z[:, 0]]
+        for j in range(1, k + 1):
+            codes += A[j][z[:, j]]
+        rank[codes] = r
+        least = codes.min()
+        return int(least), n_group // (per_image * int(np.count_nonzero(codes == least)))
+
+    return write
 
 
 def _tables(gen_codes, p, m):
@@ -188,6 +232,7 @@ class GeneralRankStratification(Frozen):
     """
 
     __match_args__ = ("field", "order", "sizes", "_rank_of")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # as RankStratification's
 
     @property
     def max_rank(self):

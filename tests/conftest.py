@@ -14,6 +14,7 @@ import symcanon
 from symcanon import (AsymmetricTensorError, CompactSym, FieldSpec, SymTensor, Tensor, UndecomposableError,
                       classify, general_rank_strata, is_symmetric, symmetric_rank_strata)
 from symcanon import rank_strata
+from symcanon.group_action import _compact_matrix, _powers
 from symcanon.tensor import compact_from_full, digits_of_codes
 
 # every (p, k) with a stored reference table
@@ -114,7 +115,7 @@ def general_rank_k3(u1, u2, p):
 
 # ---------------------------------------------------------------------------
 # The GL2(F_p) action one matrix at a time: oracles for the orbit labels,
-# the action stack and the stabilizer sizes
+# the coset stack and the stabilizer sizes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -185,6 +186,130 @@ def count_stabilizer_directly(X):
     """Count the group elements fixing X by applying every one of them,
     one at a time with the scalar action."""
     return sum(act_diagonal(g, X).entries == X.entries for g in enumerate_gl2(X.field))
+
+
+# ---------------------------------------------------------------------------
+# Orbits as components of two generators on compact codes: the whole-space
+# orbit labels, an oracle for the orbits the rank search writes
+# ---------------------------------------------------------------------------
+
+def _generators(field):
+    """Two matrices that generate GL2(F_p): a transvection and the swap at
+    p = 2, otherwise diag(w, 1) for the least primitive root w and
+    [[-1, 1], [-1, 0]]."""
+    p = field.p
+    if p == 2:
+        return ((1, 1), (0, 1)), ((0, 1), (1, 0))
+    w = next(w for w in range(2, p) if len({pow(w, e, p) for e in range(p - 1)}) == p - 1)
+    return ((w, 0), (0, 1)), ((p - 1, 1), (p - 1, 0))
+
+
+def generator_stack(field, k):
+    """(2, k+1, k+1) int64 matrices of the two generators on compact
+    coefficients: the image of coefficients c is S @ c mod p."""
+    p = field.p
+    mats = [_compact_matrix(_powers(row1, k, p), _powers(row2, k, p), p) for row1, row2 in _generators(field)]
+    return np.array(mats, dtype=np.int64)
+
+
+def orbit_labels(stack, p):
+    """The least compact code of the orbit of every compact code, as an
+    int32 array indexed by compact code.
+
+    A generator's image of every code is built digit by digit: each output
+    digit's linear combination is a Kronecker sum over the input digits,
+    reduced mod p once.  Each round lowers every label to that of the
+    code's image under each generator, then jumps lab = lab[lab] (pointer
+    jumping: Shiloach and Vishkin, "An O(log n) parallel connectivity
+    algorithm", J. Algorithms 1982); labels only fall and stay inside
+    their component, and at the fixpoint each is its component's minimum.
+    """
+    digit, zero = np.arange(p, dtype=np.int32), np.zeros(1, dtype=np.int32)
+    images = []
+    for g in stack.tolist():
+        image = 0
+        for row in g:  # output digits, most significant first
+            image = image * p + reduce(lambda acc, s: (acc[:, None] + digit * s).ravel(), row, zero) % p
+        images.append(image)
+    lab = np.arange(p ** stack.shape[1], dtype=np.int32)
+    while True:
+        new = lab
+        for image in images:
+            new = np.minimum(new, new.take(image))
+        new = new.take(new)
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+# ---------------------------------------------------------------------------
+# The number of orbits by Burnside's lemma, in pure Python: an oracle that
+# shares no code with the package
+# ---------------------------------------------------------------------------
+
+def conjugacy_classes(p):
+    """(representative, class size) of each conjugacy class of GL2(F_p):
+
+    - scalar a I, p - 1 classes of size 1;
+    - non-semisimple [[a, 1], [0, a]], p - 1 classes of size p^2 - 1;
+    - split diag(a, b) with a < b, of size p (p + 1);
+    - non-split: the companion matrix [[0, -n], [1, t]] of each
+      irreducible x^2 - t x + n, of size p (p - 1).
+    """
+    units = range(1, p)
+    classes = [(((a, 0), (0, a)), 1) for a in units]
+    classes += [(((a, 1), (0, a)), p * p - 1) for a in units]
+    classes += [(((a, 0), (0, b)), p * (p + 1)) for a in units for b in units if a < b]
+    classes += [(((0, -n % p), (1, t)), p * (p - 1)) for t in range(p) for n in units
+                if all((x * x - t * x + n) % p for x in range(p))]
+    return classes
+
+
+def rank_mod_p(rows, p):
+    rows, rank = [list(row) for row in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * pow(rows[rank][col], p - 2, p)
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _form_action(g, p, k):
+    """The matrix of g on the binary forms of degree k, x -> a x + b y and
+    y -> c x + d y: row j is the image of x^(k-j) y^j, by coefficient of
+    x^(k-l) y^l."""
+    (a, b), (c, d) = g
+    rows = []
+    for j in range(k + 1):
+        poly = [1]
+        for u, v in [(a, b)] * (k - j) + [(c, d)] * j:  # times u x + v y
+            poly = [(x * u + y * v) % p for x, y in zip(poly + [0], [0] + poly)]
+        rows.append(poly)
+    return rows
+
+
+def burnside_orbit_count(p, k):
+    """The number of GL2(F_p) orbits on the p^(k+1) symmetric tensors of
+    order k, by Burnside's lemma: the mean over the group of p^dim Fix(g),
+    summed over the conjugacy classes.  g acts on the binary forms of
+    degree k, which are dual to the symmetric tensors of order k, and g
+    fixes spaces of equal dimension in a module and in its dual."""
+    order = (p * p - 1) * (p * p - p)
+    classes = conjugacy_classes(p)
+    if sum(size for _, size in classes) != order:
+        raise AssertionError(f"the conjugacy classes of GL2(F_{p}) do not cover the group")
+    total = 0
+    for g, size in classes:
+        moved = [[(v - (l == j)) % p for l, v in enumerate(row)] for j, row in enumerate(_form_action(g, p, k))]
+        total += size * p ** (k + 1 - rank_mod_p(moved, p))
+    if total % order:
+        raise AssertionError(f"Burnside sum {total} is not a multiple of |GL2| = {order}")
+    return total // order
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from symcanon import (
     group_order,
     symmetric_rank_strata,
 )
-from symcanon.group_action import action_stack, orbit_labels
 from symcanon.tensor import SymTensor
 
-from conftest import ALL_PAIRS, GroupElement, act_diagonal, run_python
+from conftest import (ALL_PAIRS, GroupElement, act_diagonal, burnside_orbit_count, conjugacy_classes, rank_mod_p,
+                      run_python)
 
 
 def test_classify_f3_records(classification_for):
@@ -103,33 +103,6 @@ def test_determinism_across_runs():
     assert a.stratum_counts == b.stratum_counts
 
 
-def conjugacy_classes(p):
-    """(representative, class size) of each conjugacy class of GL2(F_p):
-    central, non-semisimple, split and non-split (companion matrices of the
-    irreducible x^2 - t x + n)."""
-    units = range(1, p)
-    classes = [(((a, 0), (0, a)), 1) for a in units]
-    classes += [(((a, 1), (0, a)), p * p - 1) for a in units]
-    classes += [(((a, 0), (0, b)), p * (p + 1)) for a in units for b in units if a < b]
-    classes += [(((0, -n % p), (1, t)), p * (p - 1)) for t in range(p) for n in units
-                if all((x * x - t * x + n) % p for x in range(p))]
-    return [(GroupElement(FieldSpec(p), m), size) for m, size in classes]
-
-
-def rank_mod_p(rows, p):
-    rows, rank = [list(row) for row in rows], 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] * pow(rows[rank][col], p - 2, p)
-            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 @pytest.mark.parametrize("p,k", ALL_PAIRS)
 def test_burnside_orbit_count(p, k, classification_for):
     # orbits = (1/|G|) sum_g p^dim ker(S_g - I), with S_g the action of g on
@@ -137,7 +110,7 @@ def test_burnside_orbit_count(p, k, classification_for):
     f = FieldSpec(p)
     basis = [full_from_compact(CompactSym(f, k, tuple(int(i == j) for i in range(k + 1))))
              for j in range(k + 1)]
-    classes = conjugacy_classes(p)
+    classes = [(GroupElement(f, m), size) for m, size in conjugacy_classes(p)]
     assert sum(size for _, size in classes) == group_order(f)
     fixed = 0
     for g, size in classes:
@@ -147,6 +120,8 @@ def test_burnside_orbit_count(p, k, classification_for):
     rep = classification_for(p, k)
     assert fixed == group_order(f) * (len(rep.records) + len(rep.undecomposable_records))
     assert sum(r.orbit_size for r in rep.all_records()) == p ** (k + 1)
+    # the same count from the pure-Python oracle, on binary forms
+    assert burnside_orbit_count(p, k) == len(rep.all_records())
 
 
 # SHA-256 of the structured report, recorded before orbits came from
@@ -176,41 +151,44 @@ def test_structured_report_pinned(p, k, classification_for):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_SHA256[(p, k)]
 
 
-def test_rank_not_constant_on_an_orbit_raises(monkeypatch):
+def test_orbit_sizes_off_the_counting_identity_raise(monkeypatch):
     # the package's name `classify` is the function, so fetch the module itself
     classify_mod = importlib.import_module("symcanon.classify")
     real = classify_mod.symmetric_rank_strata
 
-    # c:0,0,0,1 = e2^3 (code 1) has rank 1, as do the 7 others in its orbit;
-    # corrupt the canonical code, then only the non-canonical c:1,0,0,0 (27)
-    for code in (1, 27):
-        def corrupt(field, k, budget, stack, code=code):
+    # the orbit of c:0,0,0,1 = e2^3 (code 1) has 8 codes; record 7, then 9
+    for size in (7, 9):
+        def corrupt(field, k, budget, stack, size=size):
             s = real(field, k, budget, stack)
-            rank_of = s._rank_of.copy()
-            rank_of[code] = 2
-            return RankStratification(s.field, s.order, s.generator_vectors, rank_of, s._gen_codes, s._labels)
+            orbits = [(r, c, size if c == 1 else n) for r, c, n in s._orbits]
+            return RankStratification(s.field, s.order, s.generator_vectors, s._rank_of, s._gen_codes, orbits)
 
         monkeypatch.setattr(classify_mod, "symmetric_rank_strata", corrupt)
-        with pytest.raises(AssertionError, match="not constant on an orbit"):
+        with pytest.raises(AssertionError, match=r"orbit sizes do not sum to p\^\(k\+1\) = 81"):
             classify_mod.classify(FieldSpec(3), 3)
 
 
 def test_orbit_path_bytes():
-    # int32 images and labels peak at 28 B per compact code, 3.5 MiB over
-    # the 130 321 codes of (19,3); int64 digits and images took 112 B.
-    # classify labels once and builds no full-code list, so it peaks at
-    # the labels too
-    f = FieldSpec(19)
-    stack = action_stack(f, 3)
-    peaks = []
-    for run in (lambda: orbit_labels(stack, 19), lambda: classify(f, 3)):
+    # classify holds the int8 rank table, one byte per compact code, and
+    # one orbit's int32 images at a time: 0.7 MiB at (19,3) and 8.3 MiB at
+    # (23,4); no whole-space array of wider codes
+    peaks = {}
+    for p, k in [(19, 3), (23, 4)]:
         tracemalloc.start()
         try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            classify(FieldSpec(p), k)
+            peaks[p, k] = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-    assert peaks[0] < 5 << 20 and peaks[1] < 5 << 20, [peak / 2**20 for peak in peaks]
+    assert peaks[19, 3] < 1 and peaks[23, 4] < 16, peaks
+
+
+def test_burnside_counts_the_orbits_beyond_the_fixtures():
+    expected = {(19, 3): 14, (23, 3): 6, (11, 4): 54, (13, 4): 108, (19, 4): 90, (23, 4): 102}
+    assert {pk: burnside_orbit_count(*pk) for pk in expected} == expected
+    for (p, k), n in expected.items():
+        rep = classify(FieldSpec(p), k)
+        assert len(rep.all_records()) == n and sum(r.orbit_size for r in rep.all_records()) == p ** (k + 1)
 
 
 def test_timing_starts_after_numpy_is_loaded():

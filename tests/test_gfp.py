@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from symcanon import FieldSpec, is_prime
-from symcanon.group_action import _generators, group_order
+from symcanon.group_action import group_order
 from symcanon.rank_strata import _mode1_classes
+
+from conftest import _generators
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17]
 

@@ -17,11 +17,11 @@ from symcanon import (
     orbit,
     stabilizer_size,
 )
-from symcanon.group_action import _generators, action_stack, orbit_labels
+from symcanon.group_action import action_stack
 from symcanon.tensor import compact_weights, digits_of_codes
 
-from conftest import (ALL_PAIRS, GroupElement, act, act_diagonal, compact_decode, compact_encode, count_stabilizer_directly,
-                      enumerate_gl2)
+from conftest import (ALL_PAIRS, GroupElement, _generators, act, act_diagonal, compact_decode, compact_encode,
+                      count_stabilizer_directly, enumerate_gl2, generator_stack, orbit_labels)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -238,7 +238,7 @@ def test_stabilizer_direct_count_agrees():
 
 
 # ---------------------------------------------------------------------------
-# the two generators and their compact action
+# the two generators of the label oracle, and the coset stack
 # ---------------------------------------------------------------------------
 
 def _generated_order(mats, p):
@@ -270,23 +270,31 @@ def test_two_generators_generate_gl2(p):
 
 @pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5) for k in (3, 4)])
 def test_action_stack_is_the_compact_diagonal_action(p, k):
-    # independent oracle: the scalar act_diagonal on the full tensor
+    # independent oracle: the scalar act_diagonal on the full tensor, for
+    # the h of each coset T h, whose rows are two distinct points of P^1;
+    # both sides are linear, so the unit vectors decide
     f = FieldSpec(p)
     stack = action_stack(f, k)
-    assert stack.shape == (2, k + 1, k + 1)
-    for g, S in zip(_generators(f), stack):
-        g = GroupElement(f, g)
-        for code in range(p ** (k + 1)):
-            c = compact_decode(code, f, k)
-            image = compact_from_full(act_diagonal(g, c.full())).coeffs
-            assert image == tuple(int(v) for v in S @ c.coeffs % p), (g.m, c.coeffs)
+    points = [(1, t) for t in range(p)] + [(0, 1)]
+    hs = [(u, v) for u in points for v in points if u != v]
+    assert stack.shape == (p * (p + 1), k + 1, k + 1) and stack.dtype == np.int64
+    for h, S in zip(hs, stack):
+        for j in range(k + 1):
+            c = CompactSym(f, k, tuple(int(i == j) for i in range(k + 1)))
+            image = compact_from_full(act_diagonal(GroupElement(f, h), c.full())).coeffs
+            assert image == tuple(int(v) for v in S[:, j] % p), (h, j)
+    # the torus elements diag(a, d) times the p (p + 1) h are GL2, each once
+    products = [((a * u1 % p, a * u2 % p), (d * v1 % p, d * v2 % p))
+                for (u1, u2), (v1, v2) in hs for a in range(1, p) for d in range(1, p)]
+    assert len(set(products)) == len(products) == group_order(f)
+    assert set(products) == {g.m for g in enumerate_gl2(f)}
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 3), (2, 4), (3, 4)])
 def test_orbit_labels_are_the_least_codes_of_the_scalar_orbits(p, k):
     # independent oracle: every group element applied with the scalar path
     f = FieldSpec(p)
-    lab = orbit_labels(action_stack(f, k), p)
+    lab = orbit_labels(generator_stack(f, k), p)
     assert lab.dtype == np.int32 and lab.shape == (p ** (k + 1),)
     gs = enumerate_gl2(f)
     for code in range(p ** (k + 1)):
@@ -322,7 +330,7 @@ def test_orbit_labels_jump_along_a_long_cycle(monkeypatch):
 def _label_classes(p, k):
     """The orbit labels of the space, the size of each label's class and
     the full code of every compact code."""
-    lab = orbit_labels(action_stack(FieldSpec(p), k), p)
+    lab = orbit_labels(generator_stack(FieldSpec(p), k), p)
     full = digits_of_codes(np.arange(lab.size), p, k + 1) @ compact_weights(p, k)
     return lab, np.bincount(lab, minlength=lab.size), full
 

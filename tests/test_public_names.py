@@ -16,8 +16,8 @@ from conftest import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (module, name) pairs that left the package; the GL2 oracles and the
-# derivations read off the rank table moved to conftest
+# (module, name) pairs that left the package; the GL2 oracles, the orbit
+# labels and the derivations read off the rank table moved to conftest
 GONE = [
     ("classify", "verify_against_paper"),
     ("report", "parse_structured"),
@@ -32,6 +32,8 @@ GONE = [
     ("group_action", "count_stabilizer_directly"),
     ("rank_strata", "_parents"),
     ("rank_strata", "_compact_code_of"),
+    ("group_action", "orbit_labels"),
+    ("group_action", "_generators"),
 ]
 FORMS = ["BinaryForm", "tensor_to_form", "eval_form", "form_kernel_dimension", "waring_rank_check"]
 

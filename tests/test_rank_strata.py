@@ -141,6 +141,28 @@ def test_strata_partition_space():
             assert (np.sort(layer) == layer).all()
 
 
+@pytest.mark.parametrize("p,k", ALL_PAIRS)
+def test_orbits_are_written_whole(p, k, strata_for):
+    # oracle: the orbit labels of two generators; each orbit the search
+    # writes is one label class, its least code and size, of one rank
+    s = strata_for(p, k)
+    lab = conftest.orbit_labels(conftest.generator_stack(FieldSpec(p), k), p)
+    counts = np.bincount(lab, minlength=lab.size)
+    assert sorted(c for _, c, _ in s._orbits) == np.flatnonzero(counts).tolist()
+    for r, c, n in s._orbits:
+        assert counts[c] == n and (s._rank_of[lab == c] == r).all(), (p, k, c)
+    assert np.bincount(s._rank_of + 1).tolist() == [s.undecomposable_count, *s.stratum_sizes()]
+
+
+def test_stratifications_equal_only_themselves():
+    # their arrays have no truth value, so comparing field tuples raised
+    # numpy's ambiguous-truth ValueError; hashing them raised TypeError
+    for build, field, k in [(symmetric_rank_strata, FieldSpec(3), 3), (general_rank_strata, F2, 3)]:
+        a, b = build(field, k), build(field, k)
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2
+
+
 def test_parents_link_into_previous_stratum():
     for p, k in [(3, 3), (2, 4)]:
         f = FieldSpec(p)
