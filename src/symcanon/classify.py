@@ -14,7 +14,7 @@ import time
 
 from ._numpy import np
 from .gfp import Frozen
-from .group_action import DEFAULT_BUDGET, _full_code, action_stack, group_order
+from .group_action import DEFAULT_BUDGET, _full_code, _refuse_oversized, action_stack, group_order
 from .rank_strata import symmetric_rank_strata
 from .tensor import digits_of_codes, twos_counts
 
@@ -46,16 +46,20 @@ def classify(field, k, budget=DEFAULT_BUDGET):
     np.ndarray  # loads numpy, imported lazily, before the clock starts
     t0 = time.perf_counter()
     p = field.p
+    # refused before the stack is built: its (p + 1)^2 (k + 1)^2 int64
+    # entries exhaust memory for p in the thousands
+    _refuse_oversized("symmetric code space", p ** (k + 1), budget)
     strata = symmetric_rank_strata(field, k, budget, action_stack(field, k))
     orbits = sorted(strata._orbits)  # rank -1 first, then canonical codes ascending
     if sum(size for _, _, size in orbits) != p ** (k + 1):
         raise AssertionError(f"orbit sizes do not sum to p^(k+1) = {p ** (k + 1)}; orbit table corrupt")
     digits = digits_of_codes([code for _, code, _ in orbits], p, k + 1).tolist()
     n_group, full_code = group_order(field), _full_code(p, k)  # p^16 passes int64 from p = 17
+    classes = twos_counts(k)
     records = [
         OrbitRecord(
             rank=None if rank < 0 else rank,
-            canonical=tuple(d[j] for j in twos_counts(k)),
+            canonical=tuple(d[j] for j in classes),
             canonical_code=full_code(d),
             orbit_size=size,
             stabilizer_size=n_group // size,

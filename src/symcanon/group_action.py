@@ -15,13 +15,15 @@ diag(a, d) h scales class j of h's image by lam * mu^j, with lam = a^k in
 the group K of nonzero k-th powers and mu = d / a, and each (lam, mu) is
 hit by gcd(k, p - 1) torus elements.  So `_scan` reads the canonical form
 and the stabilizer of one tensor off p (p + 1) (p - 1) vectors in pure
-Python, scaling each by the lam in K that makes it least, and
-`rank_strata` writes every orbit of the space from the same coset
-matrices, which `action_stack` holds as one array.
+Python, scaling each by the lam in K that makes it least; the coset
+matrices come from `_coset_matrices`, products of powers of the points
+of P^1 in pure Python, against which the tests check `action_stack`.
+`rank_strata` writes every orbit of the space from the same matrices,
+which `action_stack` builds as one numpy array in closed form.
 """
 
 from functools import cached_property, lru_cache
-from math import gcd
+from math import comb, gcd
 from operator import mul
 
 from .errors import BudgetExceededError
@@ -95,11 +97,23 @@ def _coset_matrices(p, k):
 
 
 def action_stack(field, k):
-    """(p (p + 1), k+1, k+1) int64 array of _coset_matrices: the image of
-    coefficients c under coset h is S[h] @ c mod p."""
+    """(p (p + 1), k+1, k+1) int64 array of _coset_matrices, in its order:
+    the image of coefficients c under coset h is S[h] @ c mod p.
+
+    Built in closed form: P[x, n, a] = C(n, a) x1^(n-a) x2^a is the
+    coefficient of t^a in (x1 + x2 t)^n for each point x of P^1, so
+    M_h[j, l] = sum over a of P[u, k-j, a] P[v, j, l-a] for h = (u, v),
+    one shifted broadcast per a, with the pairs u = v masked out."""
     from ._numpy import np
 
-    return np.array(_coset_matrices(field.p, k), dtype=np.int64)
+    p, n = field.p, np.arange(k + 1)
+    x = np.array([(1, t) for t in range(p)] + [(0, 1)], dtype=np.int64)
+    C = np.array([[comb(i, a) for a in range(k + 1)] for i in range(k + 1)])  # 0 for a > i
+    P = C * x[:, :1, None] ** np.maximum(n[:, None] - n, 0) * x[:, 1:, None] ** n % p
+    M = np.zeros((p + 1, p + 1, k + 1, k + 1), dtype=np.int64)
+    for a in range(k + 1):
+        M[..., a:] += P[:, None, ::-1, a, None] * P[None, :, :, : k + 1 - a]
+    return M[~np.eye(p + 1, dtype=bool)] % p
 
 
 def _kth_powers(p, k):

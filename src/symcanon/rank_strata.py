@@ -12,8 +12,9 @@ rank r - 1 and every generator b.  `symmetric_rank_strata` runs that
 search over orbits (6 to 108 of them up to p = 23), adding the k+1 class
 coefficients digit-wise; a sum still unranked starts an orbit, which is
 written whole from its own images (see `group_action`): lam mu^j z_j for
-the coset images z = M_h c of `action_stack`, mu in F_p^* and lam in K,
-the nonzero k-th powers.  With one gather table per class j, an orbit is
+the coset images z = M_h c, mu in F_p^* and lam in K, the nonzero k-th
+powers, with the p (p + 1) matrices M_h of `action_stack`, built in
+closed form with numpy.  With one gather table per class j, an orbit is
 k + 1 gathers and adds.  Its least image is its canonical form, and its
 size is |GL2| / (gcd(k, p - 1) * the number of images equal to the
 least), the count `_scan` makes.  Codes still unranked after the last
@@ -135,7 +136,7 @@ def symmetric_rank_strata(field, k, budget=DEFAULT_BUDGET, stack=None):
     # layer r: the unranked sums of each representative of rank r - 1 and
     # every generator, digit-wise; each starts an orbit, written whole
     place, gen_digits = p ** np.arange(k, -1, -1), digits_of_codes(gen_codes, p, k + 1)
-    orbits, layer, r = [(0, *write(0, 0))], [0], 0  # zero is its own orbit
+    rank[0], orbits, layer, r = 0, [(0, 0, 1)], [0], 0  # zero is its own orbit
     while layer:
         r += 1
         sums = ((digits_of_codes(layer, p, k + 1)[:, None] + gen_digits) % p @ place).ravel()
@@ -157,14 +158,17 @@ def _orbit_writer(stack, rank, n_group, p, k):
     The images are lam mu^j z_j over the coset images z = stack @ c, with
     gather tables A[j, z, s] = (z lam_s mu_s^j mod p) p^(k-j), one column s
     per (lam, mu) in K x F_p^*, in int32, as every code is below 2^31."""
-    K = _kth_powers(p, k)
-    scales = [[lam * pow(mu, j, p) % p for lam in K for mu in range(1, p)] for j in range(k + 1)]
-    place = p ** np.arange(k, -1, -1)
-    A = (np.arange(p)[:, None] * np.array(scales)[:, None] % p * place[:, None, None]).astype(np.int32)
+    K, mu, j = np.array(_kth_powers(p, k)), np.arange(1, p), np.arange(k + 1)
+    scales = (K[:, None] * mu ** j[:, None, None] % p).reshape(k + 1, 1, -1)  # lam outer, mu inner
+    A = (np.arange(p)[:, None] * scales % p * p ** (k - j)[:, None, None]).astype(np.int32)
     per_image = gcd(k, p - 1)  # torus elements giving each (lam, mu)
 
     def write(code, r):
-        z = stack @ digits_of_codes([code], p, k + 1)[0] % p
+        digits = []
+        for _ in range(k + 1):
+            code, d = divmod(code, p)
+            digits.append(d)
+        z = stack @ digits[::-1] % p
         codes = A[0][z[:, 0]]
         for j in range(1, k + 1):
             codes += A[j][z[:, j]]

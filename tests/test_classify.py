@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from symcanon import (
+    BudgetExceededError,
     CompactSym,
     FieldSpec,
     RankStratification,
@@ -125,7 +126,8 @@ def test_burnside_orbit_count(p, k, classification_for):
 
 
 # SHA-256 of the structured report, recorded before orbits came from
-# generator labels; the last four pairs have no stored table
+# generator labels (the last two pairs: before the coset stack had a
+# closed form); the last six pairs have no stored table
 PINNED_REPORT_SHA256 = {
     (2, 3): "6e39455776cce6485635436af8349e32e2f3a59b9452419f51044dde37eab117",
     (3, 3): "d0eb2f2530e4689ef5f0ddb069e2e266ffbc8f05608c52f341e715757c10a70e",
@@ -142,6 +144,8 @@ PINNED_REPORT_SHA256 = {
     (23, 3): "6cc3eca439f3aa786e43c5f76dd5b6efbab1435e8d6eec78dc1f1dcb96a20ba1",
     (11, 4): "943ebb5b8d3e975859957fda139292e70d6b2e03e49ddc9f56891a252630f939",
     (13, 4): "db0747c151393b106ef3e7e330eabc4de9e5a707a5f127ceab2a3b6343fd97db",
+    (19, 4): "257a073142ee605caa554323665ce18fbcd5a686c4a7304f6c1cabcb5c7aecd6",
+    (23, 4): "9217f70b2f56bff418c3e9dbab236c7450872f5bea00ecc3ff5f8ebd3111854a",
 }
 
 
@@ -149,6 +153,19 @@ PINNED_REPORT_SHA256 = {
 def test_structured_report_pinned(p, k, classification_for):
     text = emit(classification_for(p, k), "structured")
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_SHA256[(p, k)]
+
+
+def test_oversized_space_refused_before_the_stack(monkeypatch):
+    classify_mod = importlib.import_module("symcanon.classify")
+
+    def no_stack(*args):
+        raise AssertionError("coset stack built for a refused space")
+
+    monkeypatch.setattr(classify_mod, "action_stack", no_stack)
+    with pytest.raises(BudgetExceededError, match="symmetric code space"):
+        classify_mod.classify(FieldSpec(17), 3, budget=1000)
+    with pytest.raises(BudgetExceededError, match="int32"):
+        classify_mod.classify(FieldSpec(10007), 3, budget=10**20)
 
 
 def test_orbit_sizes_off_the_counting_identity_raise(monkeypatch):

@@ -17,7 +17,7 @@ from symcanon import (
     orbit,
     stabilizer_size,
 )
-from symcanon.group_action import action_stack
+from symcanon.group_action import _coset_matrices, action_stack
 from symcanon.tensor import compact_weights, digits_of_codes
 
 from conftest import (ALL_PAIRS, GroupElement, _generators, act, act_diagonal, compact_decode, compact_encode,
@@ -288,6 +288,16 @@ def test_action_stack_is_the_compact_diagonal_action(p, k):
                 for (u1, u2), (v1, v2) in hs for a in range(1, p) for d in range(1, p)]
     assert len(set(products)) == len(products) == group_order(f)
     assert set(products) == {g.m for g in enumerate_gl2(f)}
+
+
+@pytest.mark.parametrize("p,k", ALL_PAIRS + [(19, 3), (23, 3), (11, 4), (13, 4), (19, 4), (23, 4)])
+def test_action_stack_is_the_coset_matrices(p, k):
+    # the closed form against the pure-Python products of point powers
+    # that the one-tensor queries use, in shape, dtype, order and entries
+    stack = action_stack(FieldSpec(p), k)
+    reference = np.array(_coset_matrices(p, k), dtype=np.int64)
+    assert stack.shape == reference.shape and stack.dtype == reference.dtype
+    assert np.array_equal(stack, reference)
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 3), (2, 4), (3, 4)])
