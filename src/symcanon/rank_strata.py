@@ -51,16 +51,30 @@ pull ranks the unranked representatives with some representative - g of
 rank r - 1, then closes the classes left unranked (marked) while every
 other unranked code takes the rank.  At p = 3, k = 4 the layer-4 pull
 tests 761 404 representatives instead of 36.5 M codes and closes the
-11 016 classes left unranked instead of the 750 388 it ranked.  Besides
-the int8 rank table, the translation table (of which a pull block copies
-up to 64 rows per slice) and the int32 representatives, each temporary
-of a pass (the sums of a pull block, a closure chunk, a shift slice)
-holds about _PULL_CHUNK entries, whatever the space.  A budget caps the
-space (p = 7, k = 4 with ~3.3e13 codes fails explicitly); codes are
-int32, so spaces beyond 2^31 codes are refused whatever the budget.
+11 016 classes left unranked instead of the 750 388 it ranked.
+A push of at least two _PULL_CHUNKs of sums, or a pull of as many
+unranked representatives, runs on every CPU the process may use: the
+calling thread and one plain thread per other CPU take its steps or
+slices in turn (Beamer et al. ran both directions multithreaded).  The
+table cannot depend on the order: a pull thread writes r only to its own
+representatives while the others test for r - 1, which a -1 -> r write
+cannot change; every push write stores r, so two threads closing one
+class only repeat work; the marking closure and the shift run after the
+threads end.  At p = 3, k = 4 that is the layer-3 push and the layer-4
+pull; every smaller pair runs inline.  Besides the int8 rank table, the
+uint16 translation table and the int32 representatives (built in place,
+one pivot block at a time), each temporary of a pass holds about
+_PULL_CHUNK entries, whatever the space: the sums and row copies of a
+pull block (split among the threads), a push step's closure chunk (per
+thread), a shift slice.  A budget caps the space (p = 7, k = 4 with
+~3.3e13 codes fails explicitly); codes are int32, so spaces beyond 2^31
+codes are refused whatever the budget.
 """
 
+import os
+import threading
 from functools import cached_property, partial, reduce
+from itertools import chain
 from math import gcd
 
 from ._numpy import np
@@ -181,10 +195,10 @@ def _orbit_writer(stack, rank, n_group, p, k):
 
 def _tables(gen_codes, p, m):
     """(T, IH, IL, H) with code + g == T[IH[g], code // H] * H
-    + T[IL[g], code % H] digit-wise, H = p^m: one int32 table with a row
+    + T[IL[g], code % H] digit-wise, H = p^m: one uint16 table with a row
     per distinct mode-1 slice of either half, as the high and the low
     slices of the simple tensors are one set, {0} and the simple
-    (k-1)-tensors."""
+    (k-1)-tensors; sums go to int32 as the high half is scaled by H."""
     H = p**m
     # one unique over 1-D input: its inverse is flat on numpy 1.x and 2.x
     slices, index = np.unique(np.concatenate(divmod(gen_codes, H)), return_inverse=True)
@@ -192,31 +206,82 @@ def _tables(gen_codes, p, m):
 
 
 def _translations(gen_parts, p, width):
-    """(len(gen_parts), p^width) int32 table: every code plus each part,
+    """(len(gen_parts), p^width) uint16 table: every code plus each part,
     digit-wise, built as a Kronecker sum one digit at a time, least
-    significant first."""
+    significant first.  Its entries are below p^width, and every half of an
+    int32 code space is below 46 341."""
     digits = digits_of_codes(gen_parts, p, width)
-    T = np.zeros((len(gen_parts), 1), dtype=np.int32)
+    T = np.zeros((len(gen_parts), 1), dtype=np.uint16)
     for j in range(width - 1, -1, -1):
-        top = ((np.arange(p) + digits[:, j, None]) % p * p ** (width - 1 - j)).astype(np.int32)
+        top = ((np.arange(p) + digits[:, j, None]) % p * p ** (width - 1 - j)).astype(np.uint16)
         T = (top[:, :, None] + T[:, None, :]).reshape(len(gen_parts), -1)
     return T
 
 
 def _translated(frontier, T, IH, IL, H, rows):
-    """Yields frontier + every generator in blocks of about `rows` sums, a
-    slice of the frontier plus a run of generators, slice by slice; each
-    slice takes its high and low columns of the table once (at most
-    4 * _PULL_CHUNK entries) and scales the high ones by H, so a block is
-    two row gathers and an add."""
+    """Yields frontier + every generator in int32 blocks of about `rows`
+    sums, a slice of the frontier plus a run of generators, slice by slice;
+    each slice takes its high and low columns of the table once (at most
+    2 * _PULL_CHUNK entries each) and scales the high ones by H, so a block
+    is two row gathers and an add."""
     step = max(1, 2 * _PULL_CHUNK // T.shape[0])
     for start in range(0, frontier.size, step):
         f = frontier[start : start + step]
-        hi, lo = np.take(T, f // H, axis=1), np.take(T, f % H, axis=1)
-        hi *= H
+        hi = np.multiply(np.take(T, f // H, axis=1), H, dtype=np.int32)
+        lo = np.take(T, f % H, axis=1)
         block = max(1, rows // hi.shape[1])
         for g in range(0, IH.size, block):
             yield hi[IH[g : g + block]] + lo[IL[g : g + block]]
+
+
+def _workers():
+    """The CPUs this process may run on (all of them where the platform
+    has no affinity)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _share(work, workers):
+    """The threads a pass runs on, from its `work` (a push's sums, a pull's
+    unranked representatives): all `workers` from two _PULL_CHUNKs on, else
+    the calling thread alone, so a small pass starts no thread."""
+    return workers if work >= 2 * _PULL_CHUNK else 1
+
+
+def _in_turn(task, items, workers):
+    """Calls task(item) for every item of the iterable `items`, which the
+    calling thread and workers - 1 more threads take in turn (one at a
+    time, under a lock, so `items` may be a generator).  The first error
+    raised in any thread stops them all from taking more and is raised
+    here, after every thread has stopped."""
+    items, lock, errors = iter(items), threading.Lock(), []
+
+    def run():
+        try:
+            while not errors:
+                with lock:
+                    item = next(items, None)
+                if item is None:
+                    return
+                task(item)
+        except BaseException as error:
+            errors.append(error)
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=run)
+            thread.start()
+            threads.append(thread)
+    except BaseException as error:  # a thread that cannot start stops the others
+        errors.append(error)
+    run()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +353,16 @@ def _mode1_classes(p, m):
     digits = digits_of_codes(np.arange(H), p, m)
     pivot = (digits == 0).cumprod(axis=1).sum(axis=1)  # m for u = 0
     monic = digits[np.arange(H), np.minimum(pivot, m - 1)] == 1  # leading digit 1
-    reps = [np.flatnonzero(monic) * H]
-    for j in range(1, m):
-        u1 = np.flatnonzero(monic & (pivot < j) & (digits[:, j] == 0))
-        reps.append((u1[:, None] * H + np.flatnonzero(monic & (pivot == j))).ravel())
-    reps = np.concatenate(reps).astype(np.int32)  # every code is below 2^31
+    # one block per pivot j of u2 (none for u2 = 0), written in place as int32
+    blocks = [(np.flatnonzero(monic), np.zeros(1, dtype=np.intp))]
+    blocks += [(np.flatnonzero(monic & (pivot < j) & (digits[:, j] == 0)), np.flatnonzero(monic & (pivot == j)))
+               for j in range(1, m)]
+    reps = np.empty(sum(u1.size * u2.size for u1, u2 in blocks), dtype=np.int32)  # codes are below 2^31
+    start = 0
+    for u1, u2 in blocks:
+        end = start + u1.size * u2.size
+        np.add.outer(u1 * H, u2, out=reps[start:end].reshape(u1.size, u2.size), dtype=np.int32)
+        start = end
     place = p ** np.arange(m - 1, -1, -1)
     scale = np.stack([(a * digits % p) @ place for a in range(p)]).astype(np.int32)
     w = (m + 1) // 2
@@ -309,15 +379,18 @@ def _close(scale, add, first, second, codes, r, rank_of):
     Digit-wise, scale[a, u] is a u and add[x, y] is x + y on quarter codes.
     Over the invertible A, (a, b) = divmod(first, p) and (c, d) =
     divmod(second, p).  Codes come in chunks of _PULL_CHUNK // |GL2|, so
-    each chunk's orbits take about _PULL_CHUNK int32 codes (1 MiB).
+    each chunk's orbits take about _PULL_CHUNK int32 codes (1 MiB), summed
+    from as many uint16 slices per row of A.
     """
     H, Q = scale.shape[1], add.shape[0]
     chunk = max(1, _PULL_CHUNK // first.size)
     for start in range(0, codes.size, chunk):
         u = codes[start : start + chunk]
         x, y = scale[:, None, u // H], scale[None, :, u % H]
-        span = (add[x // Q, y // Q] * Q + add[x % Q, y % Q]).reshape(-1, u.size)
-        rank_of[span[first] * H + span[second]] = r
+        span = (add[x // Q, y // Q] * Q + add[x % Q, y % Q]).reshape(-1, u.size)  # uint16, below H
+        orbit = np.multiply(span[first], H, dtype=np.int32)
+        orbit += span[second]
+        rank_of[orbit] = r
 
 
 def _layered_search(p, m, gens):
@@ -334,7 +407,8 @@ def _layered_search(p, m, gens):
     classes left unranked (see the module docstring), marked -r - 2, after
     which every negative code shifts by r + 1, in slices of _PULL_CHUNK
     codes, so the unmarked unranked codes become r and the marked ones -1
-    again."""
+    again.  Large passes run on every CPU the process may use (see the
+    module docstring); the marking closure and the shift run after them."""
     H = p**m
     small, largest = p * p - 1, (p * p - 1) * (p * p - p)  # class sizes: u2 = 0, else |GL2|
     tables = _tables(gens, p, m)  # first: the other order peaks 0.8 MiB higher at p = 3, k = 4
@@ -342,23 +416,26 @@ def _layered_search(p, m, gens):
     one_per_orbit = np.flatnonzero((gens % H == 0) | ((gens < H) & monic[gens % H]))
     rank_of = np.full(H * H, -1, dtype=np.int8)
     rank_of[0], rank_of[gens] = 0, 1
-    sizes = [1, int(gens.size)]
-    layer = reps[rank_of[reps] == 1]
-    unranked = H * H - 1 - gens.size
-    while unranked:
-        r = len(sizes)
+    sizes, workers = [1], _workers()
+    flat = int(np.count_nonzero(monic))  # the representatives (u1, 0) come first
+    r, left, unranked = 1, reps.size, H * H - 1  # unranked representatives, codes
+    while True:
+        # the representatives of rank r, with u2 = 0 and with u2 != 0
+        fixed, wide = (int(np.count_nonzero(rank_of[part] == r)) for part in (reps[:flat], reps[flat:]))
+        if fixed + wide == 0:
+            break
+        sizes.append(fixed * small + wide * largest)
+        left, unranked, r = left - fixed - wide, unranked - sizes[-1], r + 1
+        if not unranked:
+            break
         if sizes[-1] * gens.size <= _PUSH_FACTOR * unranked:
-            _push(layer, r, tables, rank_of, close, largest, one_per_orbit)
+            busy = _share(wide * gens.size + fixed * one_per_orbit.size, workers)  # by the push's sums
+            _push(reps[rank_of[reps] == r - 1], r, tables, rank_of, close, largest, one_per_orbit, busy)
         else:
-            _pull(reps[rank_of[reps] == -1], r, tables, rank_of)
+            _pull(reps, r, tables, rank_of, _share(left, workers))
             close(reps[rank_of[reps] == -1], -r - 2, rank_of)
             for start in range(0, H * H, _PULL_CHUNK):  # no whole-space temporary
                 _shift(rank_of[start : start + _PULL_CHUNK], r + 1)
-        layer = reps[rank_of[reps] == r]
-        if layer.size == 0:
-            break
-        sizes.append(layer.size * small + int(np.count_nonzero(layer % H)) * (largest - small))
-        unranked -= sizes[-1]
     return rank_of, sizes
 
 
@@ -369,7 +446,7 @@ def _shift(part, by):
     part += shift
 
 
-def _push(frontier, r, tables, rank_of, close, largest, one_per_orbit):
+def _push(frontier, r, tables, rank_of, close, largest, one_per_orbit, workers):
     """Ranks r the class of each unranked frontier code plus a generator.
 
     Codes with u2 != 0 take every generator, then those with u2 = 0, fixed
@@ -377,33 +454,51 @@ def _push(frontier, r, tables, rank_of, close, largest, one_per_orbit):
     the module docstring; the other order closes 217 186 codes, not
     155 965, at p = 3, k = 4).  This needs the generator set closed under
     the mode-1 action, as the simple tensors are.  Sums come in steps of
-    about _PULL_CHUNK // largest (the largest class size), each
-    re-filtered, so that a class closed by one step is skipped by the next;
-    a class hit twice within one step is closed twice."""
+    about _PULL_CHUNK // largest (the largest class size), which the
+    `workers` threads take in turn, each step re-filtered, so that a class
+    closed by one step is skipped by the later ones; a class hit twice
+    within one step, or by two threads at once, is closed twice, and as
+    every write stores r, the table does not depend on the order.  Steps
+    keep their size whatever `workers` is: at p = 3, k = 4 on two CPUs,
+    half-size steps took 0.13-0.14 s against 0.10 s, as each step's dozen
+    numpy calls hand the GIL over, and no more was resident at the peak."""
     T, IH, IL, H = tables
     u2_zero = frontier % H == 0
-    for part, g in ((frontier[~u2_zero], slice(None)), (frontier[u2_zero], one_per_orbit)):
-        for codes in _translated(part, T, IH[g], IL[g], H, _PULL_CHUNK // largest):
-            close(codes[rank_of[codes] < 0], r, rank_of)
+    rows = _PULL_CHUNK // largest
+    passes = ((frontier[~u2_zero], slice(None)), (frontier[u2_zero], one_per_orbit))
+
+    def close_unranked(codes):
+        close(codes[rank_of[codes] < 0], r, rank_of)
+
+    sums = chain.from_iterable(_translated(part, T, IH[g], IL[g], H, rows) for part, g in passes)
+    _in_turn(close_unranked, sums, workers)
 
 
-def _pull(candidates, r, tables, rank_of):
-    """Ranks r the candidate codes u with some u - g (from the table) of
-    rank r - 1.
+def _pull(reps, r, tables, rank_of, workers):
+    """Ranks r the unranked representatives u with some u - g (from the
+    table) of rank r - 1.
 
-    Candidates come in chunks of |u| <= _PULL_CHUNK // 4, and generator
-    blocks grow from 4 to 64 (most codes hit within a few) but stay within
-    _PULL_CHUNK // |u|: a block tests <= _PULL_CHUNK pairs (1 MiB of sums).
+    The `workers` threads take the representatives in turn, in slices of
+    _PULL_CHUNK // (4 * workers), each filtered to its unranked codes, so
+    no array of the pass holds them all.  Generator blocks double from 4
+    (most codes hit within a few) while a block tests at most
+    _PULL_CHUNK // workers pairs and copies at most as many table entries
+    per half (one row at least: at p = 3, k = 4, 39 rows on one worker).
+    A thread writes r only to its own slice, while every thread tests for
+    r - 1, so the table does not depend on the order.
     """
     T, IH, IL, H = tables
-    for start in range(0, candidates.size, _PULL_CHUNK // 4):
-        u = candidates[start : start + _PULL_CHUNK // 4]
-        hi, lo = u // H, u % H
+    budget = _PULL_CHUNK // workers
+    step = max(1, budget // 4)
+
+    def pull(start):
+        u = reps[start : start + step]
+        u = u[rank_of[u] == -1]
+        hi, lo = np.divmod(u, H)
         g, block = 0, 2
         while g < IH.size and u.size:
-            block = min(2 * block, 64, _PULL_CHUNK // u.size)  # >= 4, as |u| <= _PULL_CHUNK // 4
-            codes = np.take(T[IH[g : g + block]], hi, axis=1)
-            codes *= H
+            block = max(1, min(2 * block, budget // H, budget // u.size))
+            codes = np.multiply(np.take(T[IH[g : g + block]], hi, axis=1), H, dtype=np.int32)
             codes += np.take(T[IL[g : g + block]], lo, axis=1)
             hit = (rank_of[codes] == r - 1).any(axis=0)
             if hit.any():
@@ -411,3 +506,5 @@ def _pull(candidates, r, tables, rank_of):
                 miss = np.flatnonzero(~hit)
                 u, hi, lo = u[miss], hi[miss], lo[miss]
             g += block
+
+    _in_turn(pull, range(0, reps.size, step), workers)

@@ -1,6 +1,8 @@
 import copy
 import hashlib
 import random
+import sys
+import threading
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -334,12 +336,13 @@ def test_translation_tables_over_distinct_halves(p, k):
         return [c // p**j % p for j in range(width)]
 
     T, IH, IL, H = rank_strata._tables(gens, p, width // 2)
-    assert H == p ** (width // 2) and T.dtype == np.int32 and T.shape[1] == H
+    # uint16: every entry is a slice, below H
+    assert H == p ** (width // 2) and T.dtype == np.uint16 and T.shape[1] == H and T.max() < H
     assert T.shape[0] == np.unique(np.concatenate([gens // H, gens % H])).size < gens.size
     assert np.unique(gens // H).tolist() == np.unique(gens % H).tolist()
     assert IH.shape == IL.shape == gens.shape
     u = np.array(codes)
-    sums = np.take(T[IH], u // H, axis=1) * H + np.take(T[IL], u % H, axis=1)
+    sums = np.take(T[IH], u // H, axis=1).astype(np.int64) * H + np.take(T[IL], u % H, axis=1)
     for g, row in zip(gens.tolist(), sums.tolist()):
         expected = [sum((a + b) % p * p**j for j, (a, b) in enumerate(zip(digits(c), digits(g))))
                     for c in codes]
@@ -535,17 +538,170 @@ def test_general_rank_of_pinned(general_for):
         assert general_sha256(g) == expected, (p, k)
 
 
-@pytest.mark.parametrize("p, k, bound_mib", [(7, 3, 10), (3, 4, 24)])
+def layer_counts(g):
+    return [int(np.count_nonzero(g._rank_of == r)) for r in range(len(g.sizes))]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("setting", ["default", "all-pull", "all-push", "small-chunks"])
+def test_general_rank_of_pinned_on_one_and_two_workers(monkeypatch, setting, workers):
+    # the table cannot depend on which thread takes which slice: every
+    # pinned pair under every search setting, with the worker count set to
+    # 1 and to 2.  At (3,4) small chunks are 2^15 (at 400 a run takes ~34 s
+    # on one worker, ~74 s on two), and all-pull and all-push run on two
+    # workers only, as on one they run the same inline passes as the
+    # smaller pairs
+    monkeypatch.setattr(rank_strata, "_workers", lambda: workers)
+    for name, value in SEARCH_SETTINGS.get(setting, {}).items():
+        monkeypatch.setattr(rank_strata, name, value)
+    for (p, k), expected in PINNED_GENERAL_SHA256.items():
+        if (p, k) == (3, 4):
+            if setting in ("all-pull", "all-push") and workers == 1:
+                continue
+            if setting == "small-chunks":
+                monkeypatch.setattr(rank_strata, "_PULL_CHUNK", 1 << 15)
+        g = general_rank_strata(FieldSpec(p), k)
+        assert general_sha256(g) == expected, (p, k, setting, workers)
+        assert g.sizes == layer_counts(g) and sum(g.sizes) == p ** (1 << k), (p, k, setting, workers)
+
+
+def test_general_search_threads_only_past_two_chunks(monkeypatch):
+    # at default settings the four order-3 pairs and (2,4) run every pass
+    # inline, whatever the CPU count; (3,4) starts threads for its
+    # layer-3 push (1.3 M sums) and layer-4 pull (761 404 representatives)
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(rank_strata, "_workers", lambda: 8)
+    monkeypatch.setattr(threading, "Thread", Thread)
+    for (p, k), expected in PINNED_GENERAL_SHA256.items():
+        started.clear()
+        g = general_rank_strata(FieldSpec(p), k)
+        assert general_sha256(g) == expected, (p, k)
+        assert len(started) == (14 if (p, k) == (3, 4) else 0), (p, k, len(started))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_in_turn_takes_every_item_once(workers):
+    # items come from one iterator, a generator here, each to one thread
+    taken, lock = [], threading.Lock()
+
+    def task(item):
+        with lock:
+            taken.append((item, threading.current_thread()))
+
+    rank_strata._in_turn(task, (i for i in range(500)), workers)
+    assert sorted(item for item, _ in taken) == list(range(500))
+    assert len({thread for _, thread in taken}) <= workers
+    if workers == 1:
+        assert [item for item, _ in taken] == list(range(500))
+        assert {thread for _, thread in taken} == {threading.current_thread()}
+
+
+def test_worker_error_propagates_and_every_thread_ends(monkeypatch):
+    # a closure that fails on its third call inside a worker thread fails
+    # the whole search with that error, and every thread it started has
+    # ended; small chunks on two workers thread the (5,3) layer-2 push
+    monkeypatch.setattr(rank_strata, "_workers", lambda: 2)
+    monkeypatch.setattr(rank_strata, "_PULL_CHUNK", 400)
+    real, in_workers = rank_strata._close, []
+
+    def close(*args):
+        if threading.current_thread() is not threading.main_thread():
+            in_workers.append(args[5])
+            if len(in_workers) == 3:
+                raise RuntimeError("closure failed in a worker")
+        return real(*args)
+
+    monkeypatch.setattr(rank_strata, "_close", close)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="closure failed in a worker"):
+        general_rank_strata(FieldSpec(5), 3)
+    assert len(in_workers) == 3 and threading.active_count() == before
+
+
+def test_general_search_under_thread_stress(monkeypatch):
+    # more workers than cores, small chunks so that every pass threads, and
+    # a switch of the interpreter lock every microsecond: a rank write lost
+    # or misread between threads would change a pinned table
+    monkeypatch.setattr(rank_strata, "_workers", lambda: 4)
+    monkeypatch.setattr(rank_strata, "_PULL_CHUNK", 400)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for p, k in [(3, 3), (5, 3), (2, 4)]:
+            g = general_rank_strata(FieldSpec(p), k)
+            assert general_sha256(g) == PINNED_GENERAL_SHA256[(p, k)], (p, k)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_thread_that_cannot_start_fails_the_pass(monkeypatch):
+    # a pass whose threads cannot start raises that error, after every
+    # thread already started has ended
+    class Thread(threading.Thread):
+        def start(self):
+            if len(made) == 2:
+                raise RuntimeError("can't start new thread")
+            made.append(self)
+            super().start()
+
+    made, taken = [], []
+    monkeypatch.setattr(threading, "Thread", Thread)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        rank_strata._in_turn(taken.append, range(100), 4)
+    assert len(made) == 2 and threading.active_count() == before
+
+
+def old_mode1_reps(p, m):
+    """The representatives from int64 outer products, concatenated, then
+    cast to int32: the reference for the blocks written in place."""
+    H = p**m
+    digits = rank_strata.digits_of_codes(np.arange(H), p, m)
+    pivot = (digits == 0).cumprod(axis=1).sum(axis=1)
+    monic = digits[np.arange(H), np.minimum(pivot, m - 1)] == 1
+    reps = [np.flatnonzero(monic) * H]
+    for j in range(1, m):
+        u1 = np.flatnonzero(monic & (pivot < j) & (digits[:, j] == 0))
+        reps.append((u1[:, None] * H + np.flatnonzero(monic & (pivot == j))).ravel())
+    return np.concatenate(reps).astype(np.int32)
+
+
+@pytest.mark.parametrize("p, k", list(PINNED_GENERAL_SHA256))
+def test_mode1_representatives_written_in_int32_blocks(p, k):
+    # the same array as the int64 construction, in the same order, and at
+    # (3,4) a traced peak within twice the 3.4 MiB result (the int64
+    # construction peaks at 17.6 MiB)
+    m = 1 << (k - 1)
+    rank_strata._mode1_classes(p, m)  # warm numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        reps = rank_strata._mode1_classes(p, m)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reps.dtype == np.int32 and np.array_equal(reps, old_mode1_reps(p, m)), (p, k)
+    if (p, k) == (3, 4):
+        assert reps.size == 899540 and peak <= 2 * reps.nbytes, peak / 2**20
+
+
+@pytest.mark.parametrize("p, k, bound_mib", [(7, 3, 5), (3, 4, 10)])
 def test_general_search_bytes_beyond_the_rank_table(monkeypatch, p, k, bound_mib):
     # the int8 rank table takes p^(2^k) bytes; everything else the search
-    # allocates at once (the translation table, int32 representatives, pull
-    # blocks, closure chunks, the shift) must stay within a fixed budget on
-    # top.  A pull adds at most 6 MiB to what is live before it: the int32
-    # halves of _PULL_CHUNK // 4 candidates (0.5 MiB), the table rows that
-    # one half of a block of at most 64 generators copies (1.6 MiB at (3,4);
-    # the high rows are freed before the low ones are copied) and its at
-    # most _PULL_CHUNK tests (1 MiB of int32 sums, as much again for the
-    # gather of the low half, and half that for the two masks)
+    # allocates at once (the uint16 translation table, int32
+    # representatives, pull blocks, closure chunks, the shift) must stay
+    # within a fixed budget on top: 3.6 MiB at (7,3) and 8.4-8.6 MiB at
+    # (3,4) measured, on one worker or two.  A pull adds at most 4 MiB to
+    # what is live before it (3.3 MiB measured at (3,4) on one worker,
+    # 3.0 MiB on two): per thread, a slice of _PULL_CHUNK // (4 * workers)
+    # representatives with its int32 halves, and a block of at most
+    # _PULL_CHUNK // workers tests, whose uint16 row copies and column
+    # takes and int32 sums stay within that many entries each
     peaks, pulls, real_pull = [], [], rank_strata._pull
 
     def pull(*args):
@@ -556,15 +712,19 @@ def test_general_search_bytes_beyond_the_rank_table(monkeypatch, p, k, bound_mib
         pulls.append(tracemalloc.get_traced_memory()[1] - live)
 
     monkeypatch.setattr(rank_strata, "_pull", pull)
-    tracemalloc.start()
-    try:
-        general_rank_strata(FieldSpec(p), k)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-    above = max(peaks) - p ** (1 << k)
-    assert above < bound_mib << 20, (p, k, above / 2**20)
-    assert pulls and max(pulls) < 6 << 20, (p, k, max(pulls, default=0) / 2**20)
+    for workers in (1, 2):
+        monkeypatch.setattr(rank_strata, "_workers", lambda: workers)
+        peaks.clear()
+        pulls.clear()
+        tracemalloc.start()
+        try:
+            general_rank_strata(FieldSpec(p), k)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        above = max(peaks) - p ** (1 << k)
+        assert above < bound_mib << 20, (p, k, workers, above / 2**20)
+        assert pulls and max(pulls) < 4 << 20, (p, k, workers, max(pulls, default=0) / 2**20)
 
 
 def is_mode1_rref(code, p, k):
@@ -591,11 +751,14 @@ def mode1_reps(p, k):
     return rank_strata._mode1_classes(p, 1 << (k - 1))[0]
 
 
-@pytest.mark.parametrize("settings", [
-    {"_PUSH_FACTOR": 0},                          # every layer pulls
-    {"_PUSH_FACTOR": 10**18},                     # every layer pushes
-    {"_PULL_CHUNK": 400},                         # many chunks per layer
-], ids=["all-pull", "all-push", "small-chunks"])
+SEARCH_SETTINGS = {
+    "all-pull": {"_PUSH_FACTOR": 0},              # every layer pulls
+    "all-push": {"_PUSH_FACTOR": 10**18},         # every layer pushes
+    "small-chunks": {"_PULL_CHUNK": 400},         # many chunks per layer
+}
+
+
+@pytest.mark.parametrize("settings", list(SEARCH_SETTINGS.values()), ids=list(SEARCH_SETTINGS))
 def test_general_search_directions_and_chunks(monkeypatch, settings):
     for name, value in settings.items():
         monkeypatch.setattr(rank_strata, name, value)
@@ -603,13 +766,13 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
     # call, the ranks of the codes it closes and of every representative
     calls, reps = [], None
     # a pull gathers the table rows of each half of a generator block, then
-    # takes the columns of its codes: each take records the pairs the block
-    # tests
-    pairs = []
+    # takes the columns of its codes: each take records the rows it copied,
+    # the pairs the block tests and the budget of its pull's threads
+    takes, budget = [], [None]
 
     class Rows(np.ndarray):
         def take(self, indices, axis=None, out=None, mode="raise"):
-            pairs.append(self.shape[0] * indices.size)
+            takes.append((self.shape, indices.size, budget[0]))
             return np.asarray(self).take(indices, axis, out, mode)
 
     for name in ("_push", "_pull", "_close"):
@@ -624,6 +787,7 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
             if name == "_pull":
                 tables = args[2]
                 args = args[:2] + ((tables[0].view(Rows),) + tables[1:],) + args[3:]
+                budget[0] = rank_strata._PULL_CHUNK // args[-1]
             return real(*args)
 
         monkeypatch.setattr(rank_strata, name, spy)
@@ -643,7 +807,9 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
         assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k, settings)
     assert calls == [] and shifts == []
     split_pull = split_close = split_push = split_shift = pulled = False
-    for p, k in [(2, 3), (3, 3), (5, 3), (2, 4)]:
+    threaded = set()  # the worker counts that started threads
+    for workers, (p, k) in product((1, 2), [(2, 3), (3, 3), (5, 3), (2, 4)]):
+        monkeypatch.setattr(rank_strata, "_workers", lambda: workers)
         calls.clear()
         shifts.clear()
         reps = mode1_reps(p, k)
@@ -662,18 +828,31 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
         direction = frontier = None
         for i, (name, args) in enumerate(calls):
             if name != "_close":
-                # pushes start from representatives, pulls test only those
-                assert args[0].dtype == np.int32
-                assert all(is_mode1_rref(c, p, k) for c in args[0].tolist()), (p, k, name)
-                direction, frontier = name, args[0]
-                split_pull |= name == "_pull" and args[0].size > rank_strata._PULL_CHUNK // 4
+                # a pass runs on `workers` threads or inline, and only past
+                # two chunks of sums (push) or unranked representatives
+                # (pull) on more than one
+                passed = args[-1]
+                assert passed in (1, workers), (p, k, name)
+                if passed > 1:
+                    threaded.add(workers)
+                if name == "_pull":
+                    # a pull gets every representative and slices them
+                    assert np.array_equal(args[0], reps) and args[0].dtype == np.int32
+                    split_pull |= args[0].size > rank_strata._PULL_CHUNK // (4 * passed)
+                else:
+                    # pushes start from representatives
+                    assert args[0].dtype == np.int32
+                    assert all(is_mode1_rref(c, p, k) for c in args[0].tolist()), (p, k, name)
+                direction, frontier = (name, passed), args[0]
                 continue
             _, _, _, _, codes, r, _, before, side = args
             split_close |= codes.size > max(1, rank_strata._PULL_CHUNK // len(gl2(p)))
-            if direction == "_push":
-                # a push closes the classes of unranked sums, in bounded steps
-                assert (before == -1).all() and r >= 2, (p, k, r)
-                assert codes.size <= max(step, frontier.size), (p, k, r)
+            if direction[0] == "_push":
+                # a push closes the classes of unranked sums, in bounded
+                # steps; on more threads than one, another may have closed
+                # some of them since they were filtered, with the same rank
+                assert (before == -1).all() or (direction[1] > 1 and np.isin(before, (-1, r)).all()), (p, k, r)
+                assert r >= 2 and codes.size <= max(step, frontier.size), (p, k, r)
                 split_push |= names[i - 1] == "_close"
                 continue
             # exactly one closure follows each pull: the representatives it
@@ -690,11 +869,17 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
         assert marked == names.count("_pull"), (p, k)
         assert sum(shifts) == marked * p ** (1 << k) and max(shifts, default=0) <= rank_strata._PULL_CHUNK
         split_shift |= len(shifts) > marked
-    assert max(pairs, default=0) <= rank_strata._PULL_CHUNK
+    # a pull block tests at most its threads' budget of pairs and copies at
+    # most as many table entries per half, or one row where that is wider
+    assert all(rows * n <= cap and rows * H <= max(cap, H) for (rows, H), n, cap in takes)
     if "_PULL_CHUNK" in settings:
         assert split_pull and split_close and split_push and split_shift
-        assert max(pairs) == rank_strata._PULL_CHUNK  # 4 generators x 100 codes
-    # every setting but all-push pulls at least once
+        # the budget binds: some block copies rows filling more than half of
+        # it (at H = 256, one row and the 100 codes of a slice at most)
+        assert any(rows * H <= cap < 2 * rows * H for (rows, H), _, cap in takes)
+    # two workers start threads only in the small-chunk setting, whose
+    # passes span two chunks; every setting but all-push pulls at least once
+    assert threaded == ({2} if "_PULL_CHUNK" in settings else set())
     assert pulled != all_push
 
 
@@ -790,9 +975,9 @@ def test_push_generators_are_one_per_stabilizer_orbit(monkeypatch, p, k):
     # with act, and the orbits stay simple
     passed, real_push = [], rank_strata._push
 
-    def push(*args):
-        passed.append(args[-1].tolist())
-        return real_push(*args)
+    def push(frontier, r, tables, rank_of, close, largest, one_per_orbit, workers):
+        passed.append(one_per_orbit.tolist())
+        return real_push(frontier, r, tables, rank_of, close, largest, one_per_orbit, workers)
 
     monkeypatch.setattr(rank_strata, "_push", push)
     general_rank_strata(FieldSpec(p), k)
@@ -824,7 +1009,7 @@ def test_push_sends_u2_zero_representatives_through_R_last(monkeypatch, push_fac
 
     def translated(frontier, T, IH, IL, H, rows):
         if pushes:
-            pushes[-1][1].append((frontier, (T[IH, 0] * H + T[IL, 0]).tolist(), H))
+            pushes[-1][1].append((frontier, (T[IH, 0].astype(np.int64) * H + T[IL, 0]).tolist(), H))
         return real_translated(frontier, T, IH, IL, H, rows)
 
     monkeypatch.setattr(rank_strata, "_push", push)
