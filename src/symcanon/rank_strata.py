@@ -53,20 +53,21 @@ other unranked code takes the rank.  At p = 3, k = 4 the layer-4 pull
 tests 761 404 representatives instead of 36.5 M codes and closes the
 11 016 classes left unranked instead of the 750 388 it ranked.
 A push of at least two _PULL_CHUNKs of sums, or a pull of as many
-unranked representatives, runs on every CPU the process may use: the
-calling thread and one plain thread per other CPU take its steps or
-slices in turn (Beamer et al. ran both directions multithreaded).  The
-table cannot depend on the order: a pull thread writes r only to its own
-representatives while the others test for r - 1, which a -1 -> r write
-cannot change; every push write stores r, so two threads closing one
-class only repeat work; the marking closure and the shift run after the
-threads end.  At p = 3, k = 4 that is the layer-3 push and the layer-4
-pull; every smaller pair runs inline.  Besides the int8 rank table, the
-uint16 translation table and the int32 representatives (built in place,
-one pivot block at a time), each temporary of a pass holds about
-_PULL_CHUNK entries, whatever the space: the sums and row copies of a
-pull block (split among the threads), a push step's closure chunk (per
-thread), a shift slice.  A budget caps the space (p = 7, k = 4 with
+unranked representatives, runs on two threads where the process may use
+two CPUs or more: the calling thread and one plain thread take its steps
+or slices in turn (Beamer et al. ran both directions multithreaded; two
+is the count measured, see `_workers`).  The table cannot depend on the
+order: a pull thread writes r only to its own representatives while the
+other tests for r - 1, which a -1 -> r write cannot change; every push
+write stores r, so two threads closing one class only repeat work; the
+marking closure and the shift run after the threads end.  At p = 3,
+k = 4 that is the layer-3 push and the layer-4 pull; every smaller pair
+runs inline.  Besides the int8 rank table, the uint16 translation table
+and the int32 representatives (built in place, one pivot block at a
+time), each temporary of a pass holds about _PULL_CHUNK entries,
+whatever the space: the sums and row copies of a pull block (split
+between the threads), a push step's closure chunk (per thread), a shift
+slice.  A budget caps the space (p = 7, k = 4 with
 ~3.3e13 codes fails explicitly); codes are int32, so spaces beyond 2^31
 codes are refused whatever the budget.
 """
@@ -219,11 +220,12 @@ def _translations(gen_parts, p, width):
 
 
 def _translated(frontier, T, IH, IL, H, rows):
-    """Yields frontier + every generator in int32 blocks of about `rows`
-    sums, a slice of the frontier plus a run of generators, slice by slice;
-    each slice takes its high and low columns of the table once (at most
-    2 * _PULL_CHUNK entries each) and scales the high ones by H, so a block
-    is two row gathers and an add."""
+    """Yields frontier + every generator in blocks of about `rows` sums, a
+    slice of the frontier plus a run of generators, slice by slice, each
+    block as (hi, lo, ih, il) with sums hi[ih] + lo[il] in int32.  Each
+    slice takes its high and low columns of the table once (at most
+    2 * _PULL_CHUNK entries each) and scales the high ones by H, so a
+    block's sums are two row gathers and an add, made by whoever takes it."""
     step = max(1, 2 * _PULL_CHUNK // T.shape[0])
     for start in range(0, frontier.size, step):
         f = frontier[start : start + step]
@@ -231,16 +233,24 @@ def _translated(frontier, T, IH, IL, H, rows):
         lo = np.take(T, f % H, axis=1)
         block = max(1, rows // hi.shape[1])
         for g in range(0, IH.size, block):
-            yield hi[IH[g : g + block]] + lo[IL[g : g + block]]
+            yield hi, lo, IH[g : g + block], IL[g : g + block]
 
 
 def _workers():
-    """The CPUs this process may run on (all of them where the platform
-    has no affinity)."""
+    """The threads a large pass runs on: the CPUs this process may use (all
+    of them where the platform has no affinity), at most two.  Two vCPUs
+    are all that perfbench pairs have measured.  A pull thread's blocks
+    shrink with every thread added (_PULL_CHUNK // workers pairs): with
+    _PULL_CHUNK at 2^15, a budget of 2^14 per thread as 16 threads would
+    get by default, p = 3, k = 4 took 1.78 s on two threads against 0.87 s
+    inline; and each thread holds its own closure chunk and malloc arena.
+    The cap also bounds what an affinity mask wider than the CPU quota
+    would start."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, 2)
 
 
 def _share(work, workers):
@@ -407,8 +417,8 @@ def _layered_search(p, m, gens):
     classes left unranked (see the module docstring), marked -r - 2, after
     which every negative code shifts by r + 1, in slices of _PULL_CHUNK
     codes, so the unmarked unranked codes become r and the marked ones -1
-    again.  Large passes run on every CPU the process may use (see the
-    module docstring); the marking closure and the shift run after them."""
+    again.  Large passes run on up to two CPUs (see the module
+    docstring); the marking closure and the shift run after them."""
     H = p**m
     small, largest = p * p - 1, (p * p - 1) * (p * p - p)  # class sizes: u2 = 0, else |GL2|
     tables = _tables(gens, p, m)  # first: the other order peaks 0.8 MiB higher at p = 3, k = 4
@@ -455,23 +465,27 @@ def _push(frontier, r, tables, rank_of, close, largest, one_per_orbit, workers):
     155 965, at p = 3, k = 4).  This needs the generator set closed under
     the mode-1 action, as the simple tensors are.  Sums come in steps of
     about _PULL_CHUNK // largest (the largest class size), which the
-    `workers` threads take in turn, each step re-filtered, so that a class
-    closed by one step is skipped by the later ones; a class hit twice
-    within one step, or by two threads at once, is closed twice, and as
-    every write stores r, the table does not depend on the order.  Steps
-    keep their size whatever `workers` is: at p = 3, k = 4 on two CPUs,
-    half-size steps took 0.13-0.14 s against 0.10 s, as each step's dozen
-    numpy calls hand the GIL over, and no more was resident at the peak."""
+    `workers` threads take in turn, each adding its step's two row gathers
+    itself (only a slice's column takes run while the next step is handed
+    out) and re-filtering it, so that a class closed by one step is
+    skipped by the later ones; a class hit twice within one step, or by
+    two threads at once, is closed twice, and as every write stores r,
+    the table does not depend on the order.  Steps keep their size
+    whatever `workers` is: at p = 3, k = 4 on two CPUs, half-size steps
+    took 0.13-0.14 s against 0.10 s, as each step's dozen numpy calls hand
+    the GIL over, and no more was resident at the peak."""
     T, IH, IL, H = tables
     u2_zero = frontier % H == 0
     rows = _PULL_CHUNK // largest
     passes = ((frontier[~u2_zero], slice(None)), (frontier[u2_zero], one_per_orbit))
 
-    def close_unranked(codes):
+    def close_unranked(block):
+        hi, lo, ih, il = block
+        codes = hi[ih] + lo[il]
         close(codes[rank_of[codes] < 0], r, rank_of)
 
-    sums = chain.from_iterable(_translated(part, T, IH[g], IL[g], H, rows) for part, g in passes)
-    _in_turn(close_unranked, sums, workers)
+    blocks = chain.from_iterable(_translated(part, T, IH[g], IL[g], H, rows) for part, g in passes)
+    _in_turn(close_unranked, blocks, workers)
 
 
 def _pull(reps, r, tables, rank_of, workers):

@@ -370,7 +370,8 @@ def test_translated_chunks_are_every_code_plus_every_generator(monkeypatch, size
         return sum((c // p**j % p + g // p**j % p) % p * p**j for j in range(width))
 
     seen, slices, blocks, start, g = [], set(), set(), 0, 0
-    for sums in rank_strata._translated(frontier, T, IH, IL, H, rows):
+    for hi, lo, ih, il in rank_strata._translated(frontier, T, IH, IL, H, rows):
+        sums = hi[ih] + lo[il]
         assert sums.dtype == np.int32 and rows_total * sums.shape[1] <= 4 * rank_strata._PULL_CHUNK
         codes = frontier[start : start + sums.shape[1]].tolist()
         slices.add((start, len(codes)))
@@ -545,16 +546,19 @@ def layer_counts(g):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("setting", ["default", "all-pull", "all-push", "small-chunks"])
 def test_general_rank_of_pinned_on_one_and_two_workers(monkeypatch, setting, workers):
-    # the table cannot depend on which thread takes which slice: every
-    # pinned pair under every search setting, with the worker count set to
-    # 1 and to 2.  At (3,4) small chunks are 2^15 (at 400 a run takes ~34 s
+    # the table cannot depend on which thread takes which slice: the
+    # pinned pairs that test_general_search_directions_and_chunks leaves
+    # out, (7,3) and (3,4), under every search setting, with the worker
+    # count set to 1 and to 2 (at default settings the smaller pairs start
+    # no thread).  At (3,4) small chunks are 2^15 (at 400 a run takes ~34 s
     # on one worker, ~74 s on two), and all-pull and all-push run on two
     # workers only, as on one they run the same inline passes as the
     # smaller pairs
     monkeypatch.setattr(rank_strata, "_workers", lambda: workers)
     for name, value in SEARCH_SETTINGS.get(setting, {}).items():
         monkeypatch.setattr(rank_strata, name, value)
-    for (p, k), expected in PINNED_GENERAL_SHA256.items():
+    for p, k in [(7, 3), (3, 4)]:
+        expected = PINNED_GENERAL_SHA256[(p, k)]
         if (p, k) == (3, 4):
             if setting in ("all-pull", "all-push") and workers == 1:
                 continue
@@ -565,10 +569,24 @@ def test_general_rank_of_pinned_on_one_and_two_workers(monkeypatch, setting, wor
         assert g.sizes == layer_counts(g) and sum(g.sizes) == p ** (1 << k), (p, k, setting, workers)
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 16])
+def test_workers_are_the_allowed_cpus_but_at_most_two(monkeypatch, cpus):
+    # the affinity mask, or the CPU count where the platform has none,
+    # capped at the two CPUs the threaded passes were measured on
+    monkeypatch.setattr(rank_strata.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert rank_strata._workers() == min(cpus, 2)
+    monkeypatch.delattr(rank_strata.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(rank_strata.os, "cpu_count", lambda: cpus)
+    assert rank_strata._workers() == min(cpus, 2)
+    monkeypatch.setattr(rank_strata.os, "cpu_count", lambda: None)
+    assert rank_strata._workers() == 1
+
+
 def test_general_search_threads_only_past_two_chunks(monkeypatch):
     # at default settings the four order-3 pairs and (2,4) run every pass
-    # inline, whatever the CPU count; (3,4) starts threads for its
-    # layer-3 push (1.3 M sums) and layer-4 pull (761 404 representatives)
+    # inline, whatever the CPU count; (3,4) starts a thread for its
+    # layer-3 push (1.3 M sums) and one for its layer-4 pull (761 404
+    # representatives)
     started = []
 
     class Thread(threading.Thread):
@@ -576,13 +594,13 @@ def test_general_search_threads_only_past_two_chunks(monkeypatch):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(rank_strata, "_workers", lambda: 8)
+    monkeypatch.setattr(rank_strata, "_workers", lambda: 2)
     monkeypatch.setattr(threading, "Thread", Thread)
     for (p, k), expected in PINNED_GENERAL_SHA256.items():
         started.clear()
         g = general_rank_strata(FieldSpec(p), k)
         assert general_sha256(g) == expected, (p, k)
-        assert len(started) == (14 if (p, k) == (3, 4) else 0), (p, k, len(started))
+        assert len(started) == (2 if (p, k) == (3, 4) else 0), (p, k, len(started))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -815,6 +833,7 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
         reps = mode1_reps(p, k)
         g = general_rank_strata(FieldSpec(p), k)
         assert general_sha256(g) == PINNED_GENERAL_SHA256[(p, k)], (p, k, settings)
+        assert g.sizes == layer_counts(g) and sum(g.sizes) == p ** (1 << k), (p, k, settings)
         names = [name for name, _ in calls]
         # one push or pull per layer past the generators, and a closure
         # right after each pull
