@@ -48,26 +48,34 @@ S = {[[1, b], [0, d]]} on mode 1, so its sums with g and with A g, A in S,
 share a class, and it takes one generator per S-orbit: p (p + 1)^(k-1) of
 the (p - 1)(p + 1)^k simple tensors (448 of 3 072 at p = 7, k = 3).  A
 pull ranks the unranked representatives with some representative - g of
-rank r - 1, then closes the classes left unranked (marked) while every
-other unranked code takes the rank.  At p = 3, k = 4 the layer-4 pull
-tests 761 404 representatives instead of 36.5 M codes and closes the
-11 016 classes left unranked instead of the 750 388 it ranked.
+rank r - 1 and closes, slice by slice, the classes it leaves unranked
+(marked), while every other unranked code takes the rank in the shift
+that follows.  At p = 3, k = 4 the layer-4 pull tests 761 404
+representatives instead of 36.5 M codes and closes the 11 016 classes
+left unranked instead of the 750 388 it ranked.  The representatives
+are never held as one array: `_stream` adds them, in one fixed order,
+as int32 slices of whole u1 rows of their per-pivot slice blocks, and
+the search keeps one int8 rank per representative in that order, which
+a gather through the stream refreshes after each push and a pull
+updates itself.
 A push of at least two _PULL_CHUNKs of sums, or a pull of as many
 unranked representatives, runs on two threads where the process may use
-two CPUs or more: the calling thread and one plain thread take its steps
-or slices in turn (Beamer et al. ran both directions multithreaded; two
-is the count measured, see `_workers`).  The table cannot depend on the
-order: a pull thread writes r only to its own representatives while the
-other tests for r - 1, which a -1 -> r write cannot change; every push
-write stores r, so two threads closing one class only repeat work; the
-marking closure and the shift run after the threads end.  At p = 3,
-k = 4 that is the layer-3 push and the layer-4 pull; every smaller pair
-runs inline.  Besides the int8 rank table, the uint16 translation table
-and the int32 representatives (built in place, one pivot block at a
-time), each temporary of a pass holds about _PULL_CHUNK entries,
-whatever the space: the sums and row copies of a pull block (split
-between the threads), a push step's closure chunk (per thread), a shift
-slice.  A budget caps the space (p = 7, k = 4 with
+two CPUs or more, by its affinity mask and its CPU quota: the calling
+thread and one plain thread take its steps or slices in turn (Beamer et
+al. ran both directions multithreaded; two is the count measured, see
+`_workers`).  The table cannot depend on the
+order: a pull thread writes r only to its own representatives, and
+-r - 2 only to their classes, while the other tests for r - 1, which
+neither write can change, and as a class has one representative, no
+mark reaches another slice's; every push write stores r, so two threads
+closing one class only repeat work; the shift runs after the threads
+end.  At p = 3, k = 4 that is the layer-3 push and the layer-4 pull;
+every smaller pair runs inline.  Besides the int8 rank table, the
+uint16 translation table and the int8 rank of each representative
+(0.9 MiB at p = 3, k = 4), each temporary of a pass holds about
+_PULL_CHUNK entries, whatever the space: a stream slice, the sums and
+row copies of a pull block (split between the threads), a closure chunk
+(per thread), a shift slice.  A budget caps the space (p = 7, k = 4 with
 ~3.3e13 codes fails explicitly); codes are int32, so spaces beyond 2^31
 codes are refused whatever the budget.
 """
@@ -77,6 +85,7 @@ import threading
 from functools import cached_property, partial, reduce
 from itertools import chain
 from math import gcd
+from operator import index
 
 from ._numpy import np
 from .apolar import rank_one_generators
@@ -224,9 +233,9 @@ def _translated(frontier, T, IH, IL, H, rows):
     slice of the frontier plus a run of generators, slice by slice, each
     block as (hi, lo, ih, il) with sums hi[ih] + lo[il] in int32.  Each
     slice takes its high and low columns of the table once (at most
-    2 * _PULL_CHUNK entries each) and scales the high ones by H, so a
+    _PULL_CHUNK // 2 entries each) and scales the high ones by H, so a
     block's sums are two row gathers and an add, made by whoever takes it."""
-    step = max(1, 2 * _PULL_CHUNK // T.shape[0])
+    step = max(1, _PULL_CHUNK // (2 * T.shape[0]))
     for start in range(0, frontier.size, step):
         f = frontier[start : start + step]
         hi = np.multiply(np.take(T, f // H, axis=1), H, dtype=np.int32)
@@ -238,19 +247,38 @@ def _translated(frontier, T, IH, IL, H, rows):
 
 def _workers():
     """The threads a large pass runs on: the CPUs this process may use (all
-    of them where the platform has no affinity), at most two.  Two vCPUs
-    are all that perfbench pairs have measured.  A pull thread's blocks
-    shrink with every thread added (_PULL_CHUNK // workers pairs): with
-    _PULL_CHUNK at 2^15, a budget of 2^14 per thread as 16 threads would
-    get by default, p = 3, k = 4 took 1.78 s on two threads against 0.87 s
-    inline; and each thread holds its own closure chunk and malloc arena.
-    The cap also bounds what an affinity mask wider than the CPU quota
-    would start."""
+    of them where the platform has no affinity), at most two, and at most
+    the whole CPUs of its CPU quota.  Two vCPUs are all that perfbench
+    pairs have measured.  A pull thread's blocks shrink with every thread
+    added (_PULL_CHUNK // workers pairs): with _PULL_CHUNK at 2^15, a
+    budget of 2^14 per thread as 16 threads would get by default, p = 3,
+    k = 4 took 1.78 s on two threads against 0.87 s inline; and each thread
+    holds its own closure chunk and malloc arena.  With one CPU of quota
+    and a two-CPU mask, the (3,4) pull took 0.222 s on two threads against
+    0.175 s inline."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return min(cpus, 2)
+    return min(cpus, 2, _cpu_quota() or cpus)
+
+
+def _cpu_quota():
+    """max(1, quota // period) of the cgroup CPU quota, from cgroup v2's
+    cpu.max or else v1's cfs_quota_us and cfs_period_us; None where there
+    is none (a quota of max or -1) or no file can be read as one."""
+    for paths in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
+        try:
+            quota, period = (int(word) for path in paths for word in _read("/sys/fs/cgroup/" + path).split())
+        except (OSError, ValueError):
+            continue
+        return max(1, quota // period) if quota > 0 and period > 0 else None
+    return None
+
+
+def _read(path):
+    with open(path) as file:
+        return file.read()
 
 
 def _share(work, workers):
@@ -318,7 +346,16 @@ class GeneralRankStratification(Frozen):
         return len(self.sizes) - 1
 
     def rank_of_code(self, code):
-        r = int(self._rank_of[code])
+        """The rank of the tensor with full code `code`, None if it has no
+        decomposition; ValueError unless `code` is an integer (not a bool)
+        in [0, p^(2^k))."""
+        try:
+            at = -1 if isinstance(code, bool) else index(code)
+        except TypeError:
+            at = -1
+        if not 0 <= at < self._rank_of.size:
+            raise ValueError(f"code {code!r} is not an integer in [0, {self._rank_of.size})")
+        r = int(self._rank_of[at])
         return None if r < 0 else r
 
     def rank_of(self, X):
@@ -349,37 +386,45 @@ def general_rank_strata(field, k, budget=DEFAULT_BUDGET):
 
 
 def _mode1_classes(p, m):
-    """(reps, close, monic) for the mode-1 classes of GL2, on full codes
+    """(blocks, close, monic) for the mode-1 classes of GL2, on full codes
     u1 * p^m + u2 with slices u1, u2 of m digits.
 
-    reps are the int32 representatives, the nonzero codes with [u1; u2] in
-    reduced row echelon form (pivot: leading nonzero digit; monic: pivot
-    digit 1): u1 monic and u2 = 0, or u1 and u2 monic, the pivot of u2
-    right of that of u1 and u1 zero there.  close(codes, r, rank_of)
-    writes r to the classes of any codes, and monic[u] tells whether the
-    m-digit slice u is monic.
+    The representatives are the nonzero codes with [u1; u2] in reduced row
+    echelon form (pivot: leading nonzero digit; monic: pivot digit 1): u1
+    monic and u2 = 0, or u1 and u2 monic, the pivot of u2 right of that of
+    u1 and u1 zero there.  blocks holds them as one (u1, u2) pair of slice
+    arrays per pivot of u2 (the first for u2 = 0), which `_stream` adds
+    row by row; no array holds them all.  close(codes, r, rank_of) writes
+    r to the classes of any codes, and monic[u] tells whether the m-digit
+    slice u is monic.
     """
     H = p**m
     digits = digits_of_codes(np.arange(H), p, m)
     pivot = (digits == 0).cumprod(axis=1).sum(axis=1)  # m for u = 0
     monic = digits[np.arange(H), np.minimum(pivot, m - 1)] == 1  # leading digit 1
-    # one block per pivot j of u2 (none for u2 = 0), written in place as int32
     blocks = [(np.flatnonzero(monic), np.zeros(1, dtype=np.intp))]
     blocks += [(np.flatnonzero(monic & (pivot < j) & (digits[:, j] == 0)), np.flatnonzero(monic & (pivot == j)))
                for j in range(1, m)]
-    reps = np.empty(sum(u1.size * u2.size for u1, u2 in blocks), dtype=np.int32)  # codes are below 2^31
-    start = 0
-    for u1, u2 in blocks:
-        end = start + u1.size * u2.size
-        np.add.outer(u1 * H, u2, out=reps[start:end].reshape(u1.size, u2.size), dtype=np.int32)
-        start = end
     place = p ** np.arange(m - 1, -1, -1)
     scale = np.stack([(a * digits % p) @ place for a in range(p)]).astype(np.int32)
     w = (m + 1) // 2
     add = _translations(np.arange(p**w), p, w)  # digit-wise sums of quarter codes
     a, b = np.divmod(np.arange(p * p), p)
     first, second = np.nonzero((a[:, None] * b - b[:, None] * a) % p)  # rows of A in GL2
-    return reps, partial(_close, scale, add, first, second), monic
+    return blocks, partial(_close, scale, add, first, second), monic
+
+
+def _stream(blocks, H, size):
+    """Yields the representatives of `blocks`, in order, as (start, codes):
+    int32 codes u1 * H + u2 of whole u1 rows, about `size` of them (one row
+    at least), from offset `start` of the order."""
+    start = 0
+    for u1, u2 in blocks:
+        rows = max(1, size // u2.size)
+        for i in range(0, u1.size, rows):
+            codes = np.add.outer(u1[i : i + rows] * H, u2, dtype=np.int32).ravel()  # codes are below 2^31
+            yield start, codes
+            start += codes.size
 
 
 def _close(scale, add, first, second, codes, r, rank_of):
@@ -409,29 +454,40 @@ def _layered_search(p, m, gens):
     the simple tensor codes `gens`.
 
     Layers are searched on the representatives of _mode1_classes, each
-    standing for p^2 - 1 codes when u2 = 0 and |GL2| otherwise.  Past the
-    generators each layer either pushes from the representatives of rank
-    r - 1, closing classes as it goes (those with u2 = 0 take only R, one
-    generator per orbit of their stabilizer S: u2 = 0, or u1 = 0 and u2
-    monic), or pulls the unranked representatives and then closes the
-    classes left unranked (see the module docstring), marked -r - 2, after
+    standing for p^2 - 1 codes when u2 = 0 and |GL2| otherwise, streamed
+    by `_stream` and kept as one int8 rank per representative, `ranks`:
+    the layer counts, the push frontier and the pull's unranked filter
+    read it, one gather through the stream refreshes it after the
+    generators and after each push, and a pull updates it itself.  Past
+    the generators each layer either pushes from the representatives of
+    rank r - 1, closing classes as it goes (those with u2 = 0 take only R,
+    one generator per orbit of their stabilizer S: u2 = 0, or u1 = 0 and
+    u2 monic), or pulls the unranked representatives, closing the classes
+    it leaves unranked (see the module docstring), marked -r - 2, after
     which every negative code shifts by r + 1, in slices of _PULL_CHUNK
     codes, so the unmarked unranked codes become r and the marked ones -1
-    again.  Large passes run on up to two CPUs (see the module
-    docstring); the marking closure and the shift run after them."""
+    again, as their ranks already are.  Large passes run on up to two CPUs
+    (see the module docstring); the shift runs after them."""
     H = p**m
     small, largest = p * p - 1, (p * p - 1) * (p * p - p)  # class sizes: u2 = 0, else |GL2|
     tables = _tables(gens, p, m)  # first: the other order peaks 0.8 MiB higher at p = 3, k = 4
-    reps, close, monic = _mode1_classes(p, m)
+    blocks, close, monic = _mode1_classes(p, m)
     one_per_orbit = np.flatnonzero((gens % H == 0) | ((gens < H) & monic[gens % H]))
     rank_of = np.full(H * H, -1, dtype=np.int8)
     rank_of[0], rank_of[gens] = 0, 1
     sizes, workers = [1], _workers()
     flat = int(np.count_nonzero(monic))  # the representatives (u1, 0) come first
-    r, left, unranked = 1, reps.size, H * H - 1  # unranked representatives, codes
+    r, left, unranked = 1, sum(u1.size * u2.size for u1, u2 in blocks), H * H - 1  # unranked representatives, codes
+    ranks = np.empty(left, dtype=np.int8)
+
+    def gather():
+        for start, codes in _stream(blocks, H, _PULL_CHUNK):
+            ranks[start : start + codes.size] = rank_of[codes]
+
+    gather()
     while True:
         # the representatives of rank r, with u2 = 0 and with u2 != 0
-        fixed, wide = (int(np.count_nonzero(rank_of[part] == r)) for part in (reps[:flat], reps[flat:]))
+        fixed, wide = (int(np.count_nonzero(part == r)) for part in (ranks[:flat], ranks[flat:]))
         if fixed + wide == 0:
             break
         sizes.append(fixed * small + wide * largest)
@@ -440,10 +496,12 @@ def _layered_search(p, m, gens):
             break
         if sizes[-1] * gens.size <= _PUSH_FACTOR * unranked:
             busy = _share(wide * gens.size + fixed * one_per_orbit.size, workers)  # by the push's sums
-            _push(reps[rank_of[reps] == r - 1], r, tables, rank_of, close, largest, one_per_orbit, busy)
+            frontier = np.concatenate([codes[ranks[start : start + codes.size] == r - 1]
+                                       for start, codes in _stream(blocks, H, _PULL_CHUNK)])
+            _push(frontier, r, tables, rank_of, close, largest, one_per_orbit, busy)
+            gather()
         else:
-            _pull(reps, r, tables, rank_of, _share(left, workers))
-            close(reps[rank_of[reps] == -1], -r - 2, rank_of)
+            _pull(blocks, ranks, r, tables, rank_of, close, _share(left, workers))
             for start in range(0, H * H, _PULL_CHUNK):  # no whole-space temporary
                 _shift(rank_of[start : start + _PULL_CHUNK], r + 1)
     return rank_of, sizes
@@ -457,7 +515,9 @@ def _shift(part, by):
 
 
 def _push(frontier, r, tables, rank_of, close, largest, one_per_orbit, workers):
-    """Ranks r the class of each unranked frontier code plus a generator.
+    """Ranks r the class of each unranked frontier code plus a generator;
+    the frontier is the representatives of rank r - 1, taken from the
+    stream by their ranks.
 
     Codes with u2 != 0 take every generator, then those with u2 = 0, fixed
     by S, take only the generators at `one_per_orbit`, one per S-orbit (see
@@ -488,26 +548,31 @@ def _push(frontier, r, tables, rank_of, close, largest, one_per_orbit, workers):
     _in_turn(close_unranked, blocks, workers)
 
 
-def _pull(reps, r, tables, rank_of, workers):
+def _pull(blocks, ranks, r, tables, rank_of, close, workers):
     """Ranks r the unranked representatives u with some u - g (from the
-    table) of rank r - 1.
+    table) of rank r - 1, in `ranks` and in rank_of, and closes the classes
+    of the others marked -r - 2.
 
-    The `workers` threads take the representatives in turn, in slices of
-    _PULL_CHUNK // (4 * workers), each filtered to its unranked codes, so
-    no array of the pass holds them all.  Generator blocks double from 4
-    (most codes hit within a few) while a block tests at most
-    _PULL_CHUNK // workers pairs and copies at most as many table entries
-    per half (one row at least: at p = 3, k = 4, 39 rows on one worker).
-    A thread writes r only to its own slice, while every thread tests for
-    r - 1, so the table does not depend on the order.
+    The `workers` threads take the representatives of `blocks` in turn, as
+    _stream slices of about _PULL_CHUNK // (4 * workers), each filtered to
+    its unranked codes through its part of `ranks`, so no array of the
+    pass holds them all.  Generator blocks double from 4 (most codes hit
+    within a few) while a block tests at most _PULL_CHUNK // workers pairs
+    and copies at most as many table entries per half (one row at least:
+    at p = 3, k = 4, 39 rows on one worker).  A thread writes r only to its
+    own representatives, and -r - 2 only to their classes, while every
+    thread tests for r - 1: neither write can change that test, and as a
+    class has one representative, no mark reaches another slice's, so the
+    table does not depend on the order.
     """
     T, IH, IL, H = tables
     budget = _PULL_CHUNK // workers
-    step = max(1, budget // 4)
 
-    def pull(start):
-        u = reps[start : start + step]
-        u = u[rank_of[u] == -1]
+    def pull(item):
+        start, u = item
+        own = ranks[start : start + u.size]
+        at = np.flatnonzero(own == -1)
+        u = u[at]
         hi, lo = np.divmod(u, H)
         g, block = 0, 2
         while g < IH.size and u.size:
@@ -516,9 +581,11 @@ def _pull(reps, r, tables, rank_of, workers):
             codes += np.take(T[IL[g : g + block]], lo, axis=1)
             hit = (rank_of[codes] == r - 1).any(axis=0)
             if hit.any():
-                rank_of[u[hit]] = r
+                rank_of[u[hit]] = own[at[hit]] = r
                 miss = np.flatnonzero(~hit)
-                u, hi, lo = u[miss], hi[miss], lo[miss]
+                u, hi, lo, at = u[miss], hi[miss], lo[miss], at[miss]
             g += block
+            del codes, hit  # before the next block's and the closure's (0.4 MiB at p = 3, k = 4)
+        close(u, -r - 2, rank_of)
 
-    _in_turn(pull, range(0, reps.size, step), workers)
+    _in_turn(pull, _stream(blocks, H, max(1, budget // 4)), workers)

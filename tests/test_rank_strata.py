@@ -353,16 +353,17 @@ def test_translation_tables_over_distinct_halves(p, k):
 def test_translated_chunks_are_every_code_plus_every_generator(monkeypatch, size):
     # blocks come slice by slice, each slice's generators in order, so every
     # (frontier code, generator) sum is yielded exactly once and equals
-    # code + g digit-wise; 50 codes with _PULL_CHUNK set to the table rows
-    # force frontier slices of 4 codes and, at rows=3, blocks of one
-    # generator
+    # code + g digit-wise; a slice takes at most _PULL_CHUNK // 2 entries
+    # of each half's columns, a quarter of what it once took, so 50 codes
+    # with _PULL_CHUNK set to four times both halves' table rows force
+    # frontier slices of 4 codes and, at rows=3, blocks of one generator
     p, k = 3, 3
     gens, width = rank_strata.simple_tensor_codes(FieldSpec(p), k), 1 << k
     T, IH, IL, H = rank_strata._tables(gens, p, width // 2)
     rows_total = 2 * T.shape[0]
     rows = 7
     if size == 50:
-        monkeypatch.setattr(rank_strata, "_PULL_CHUNK", rows_total)
+        monkeypatch.setattr(rank_strata, "_PULL_CHUNK", 4 * rows_total)
         rows = 3
     frontier = np.array(random.Random(size).sample(range(p**width), size))
 
@@ -372,7 +373,7 @@ def test_translated_chunks_are_every_code_plus_every_generator(monkeypatch, size
     seen, slices, blocks, start, g = [], set(), set(), 0, 0
     for hi, lo, ih, il in rank_strata._translated(frontier, T, IH, IL, H, rows):
         sums = hi[ih] + lo[il]
-        assert sums.dtype == np.int32 and rows_total * sums.shape[1] <= 4 * rank_strata._PULL_CHUNK
+        assert sums.dtype == np.int32 and rows_total * sums.shape[1] <= rank_strata._PULL_CHUNK
         codes = frontier[start : start + sums.shape[1]].tolist()
         slices.add((start, len(codes)))
         blocks.add(sums.shape[0])
@@ -572,7 +573,9 @@ def test_general_rank_of_pinned_on_one_and_two_workers(monkeypatch, setting, wor
 @pytest.mark.parametrize("cpus", [1, 2, 16])
 def test_workers_are_the_allowed_cpus_but_at_most_two(monkeypatch, cpus):
     # the affinity mask, or the CPU count where the platform has none,
-    # capped at the two CPUs the threaded passes were measured on
+    # capped at the two CPUs the threaded passes were measured on; no CPU
+    # quota, whatever the host's
+    monkeypatch.setattr(rank_strata, "_cpu_quota", lambda: None)
     monkeypatch.setattr(rank_strata.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     assert rank_strata._workers() == min(cpus, 2)
     monkeypatch.delattr(rank_strata.os, "sched_getaffinity", raising=False)
@@ -580,6 +583,53 @@ def test_workers_are_the_allowed_cpus_but_at_most_two(monkeypatch, cpus):
     assert rank_strata._workers() == min(cpus, 2)
     monkeypatch.setattr(rank_strata.os, "cpu_count", lambda: None)
     assert rank_strata._workers() == 1
+
+
+CGROUP_V2 = "/sys/fs/cgroup/cpu.max"
+CGROUP_V1 = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
+
+
+@pytest.mark.parametrize("files, expected", [
+    ({}, 2),                                                          # no cgroup files
+    ({CGROUP_V2: "max 100000\n"}, 2),                                # v2, no quota
+    ({CGROUP_V1[0]: "-1\n", CGROUP_V1[1]: "100000\n"}, 2),           # v1, no quota
+    ({CGROUP_V2: "100000 100000\n"}, 1),                             # v2, one CPU
+    ({CGROUP_V1[0]: "100000\n", CGROUP_V1[1]: "100000\n"}, 1),       # v1, one CPU
+    ({CGROUP_V2: "150000 100000\n"}, 1),                             # 1.5 CPUs
+    ({CGROUP_V1[0]: "150000\n", CGROUP_V1[1]: "100000\n"}, 1),
+    ({CGROUP_V2: "50000 100000\n"}, 1),                              # half a CPU
+    ({CGROUP_V2: "400000 100000\n"}, 2),                             # four CPUs
+    ({CGROUP_V2: "garbage\n"}, 2),
+    ({CGROUP_V2: ""}, 2),
+    ({CGROUP_V1[0]: "100000\n", CGROUP_V1[1]: "0\n"}, 2),
+    ({CGROUP_V2: "max 100000\n", CGROUP_V1[0]: "100000\n", CGROUP_V1[1]: "100000\n"}, 1),
+], ids=["none", "v2-max", "v1-unset", "v2-one", "v1-one", "v2-1.5", "v1-1.5", "v2-half", "v2-four",
+        "garbage", "empty", "v1-zero-period", "v2-max-v1-one"])
+def test_workers_honour_the_cpu_quota(monkeypatch, files, expected):
+    # with two CPUs in the mask, the quota caps the threads at its whole
+    # CPUs, one at least; a missing, unreadable or unset quota keeps two
+    def read(path):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return files[path]
+
+    monkeypatch.setattr(rank_strata.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(rank_strata, "_read", read)
+    assert rank_strata._workers() == expected
+
+
+def test_rank_of_code_only_answers_codes_in_the_space(general_for):
+    # at (2,3), -1 once read the rank of code 255, and -256 that of the
+    # zero tensor; any integer outside [0, 256), a bool, or a non-integer
+    # raises ValueError, while numpy integers are accepted
+    g = general_for(2, 3)
+    size = 2**8
+    assert g.rank_of_code(0) == 0 and g.rank_of_code(size - 1) == int(g._rank_of[-1])
+    assert g.rank_of_code(np.int64(size - 1)) == g.rank_of_code(size - 1)
+    assert g.rank_of_code(np.uint8(1)) == 1
+    for code in (-1, -256, size, np.int64(size), True, False, np.True_, 1.0, "1", None):
+        with pytest.raises(ValueError, match="not an integer in"):
+            g.rank_of_code(code)
 
 
 def test_general_search_threads_only_past_two_chunks(monkeypatch):
@@ -692,48 +742,71 @@ def old_mode1_reps(p, m):
 
 @pytest.mark.parametrize("p, k", list(PINNED_GENERAL_SHA256))
 def test_mode1_representatives_written_in_int32_blocks(p, k):
-    # the same array as the int64 construction, in the same order, and at
-    # (3,4) a traced peak within twice the 3.4 MiB result (the int64
-    # construction peaks at 17.6 MiB)
+    # the stream, concatenated, is the int64 construction, element by
+    # element, in the same order, whatever its slice size; each slice is
+    # int32, whole u1 rows of one pivot block (one row at least) starting
+    # where the last ended.  At (3,4) _mode1_classes peaks at 1.45 MiB
+    # traced, under half the 3.4 MiB an int32 array of its 899 540
+    # representatives would take (the int64 construction peaks at
+    # 17.6 MiB), and its blocks hold 0.09 MiB
     m = 1 << (k - 1)
+    H = p**m
     rank_strata._mode1_classes(p, m)  # warm numpy's first-call allocations
     tracemalloc.start()
     try:
-        reps = rank_strata._mode1_classes(p, m)[0]
+        blocks = rank_strata._mode1_classes(p, m)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert reps.dtype == np.int32 and np.array_equal(reps, old_mode1_reps(p, m)), (p, k)
+    expected = old_mode1_reps(p, m)
+    widths = [u2.size for _, u2 in blocks]
+    for size in (1, 100, rank_strata._PULL_CHUNK):
+        end, parts = 0, []
+        for start, codes in rank_strata._stream(blocks, H, size):
+            assert start == end and codes.dtype == np.int32, (p, k, size)
+            # whole rows of one block: one row, or as many as fit in `size`
+            width = widths[np.searchsorted(np.cumsum([u1.size * u2.size for u1, u2 in blocks]), start, "right")]
+            assert codes.size % width == 0 and (codes.size == width or codes.size <= size), (p, k, size)
+            parts.append(codes)
+            end += codes.size
+        assert np.array_equal(np.concatenate(parts), expected), (p, k, size)
     if (p, k) == (3, 4):
-        assert reps.size == 899540 and peak <= 2 * reps.nbytes, peak / 2**20
+        assert expected.size == 899540 and peak < expected.nbytes // 2, peak / 2**20
+        assert sum(u1.nbytes + u2.nbytes for u1, u2 in blocks) < 1 << 17
 
 
-@pytest.mark.parametrize("p, k, bound_mib", [(7, 3, 5), (3, 4, 10)])
+@pytest.mark.parametrize("p, k, bound_mib", [(7, 3, 5), (3, 4, 7.5)])
 def test_general_search_bytes_beyond_the_rank_table(monkeypatch, p, k, bound_mib):
     # the int8 rank table takes p^(2^k) bytes; everything else the search
-    # allocates at once (the uint16 translation table, int32
-    # representatives, pull blocks, closure chunks, the shift) must stay
-    # within a fixed budget on top: 3.6 MiB at (7,3) and 8.4-8.6 MiB at
-    # (3,4) measured, on one worker or two.  A pull adds at most 4 MiB to
-    # what is live before it (3.3 MiB measured at (3,4) on one worker,
-    # 3.0 MiB on two): per thread, a slice of _PULL_CHUNK // (4 * workers)
+    # allocates at once (the uint16 translation table, the int8 rank of
+    # each representative, stream slices, pull blocks, closure chunks, the
+    # shift) must stay within a fixed budget on top: 3.6 MiB at (7,3) and
+    # 6.1-6.5 MiB at (3,4) measured, on one worker or two, plus 1 MiB for
+    # how two threads' steps overlap.  A pull adds at most 4 MiB to what is
+    # live before it (3.5 MiB measured at (3,4) on one worker, 3.0-3.2 MiB
+    # on two): per thread, a slice of _PULL_CHUNK // (4 * workers)
     # representatives with its int32 halves, and a block of at most
     # _PULL_CHUNK // workers tests, whose uint16 row copies and column
-    # takes and int32 sums stay within that many entries each
-    peaks, pulls, real_pull = [], [], rank_strata._pull
+    # takes and int32 sums stay within that many entries each, or after
+    # its blocks, a closure chunk.  At (3,4), 2.7 MiB is live above the
+    # table as each pass starts, less than the 3.4 MiB an int32 array of
+    # the 899 540 representatives alone would take
+    peaks, pulls, lives = [], [], []
+    for name in ("_push", "_pull"):
+        def spy(*args, real=getattr(rank_strata, name), name=name):
+            live, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            lives.append(live)
+            tracemalloc.reset_peak()
+            real(*args)
+            if name == "_pull":
+                pulls.append(tracemalloc.get_traced_memory()[1] - live)
 
-    def pull(*args):
-        live, peak = tracemalloc.get_traced_memory()
-        peaks.append(peak)
-        tracemalloc.reset_peak()
-        real_pull(*args)
-        pulls.append(tracemalloc.get_traced_memory()[1] - live)
-
-    monkeypatch.setattr(rank_strata, "_pull", pull)
+        monkeypatch.setattr(rank_strata, name, spy)
     for workers in (1, 2):
         monkeypatch.setattr(rank_strata, "_workers", lambda: workers)
-        peaks.clear()
-        pulls.clear()
+        for log in (peaks, pulls, lives):
+            log.clear()
         tracemalloc.start()
         try:
             general_rank_strata(FieldSpec(p), k)
@@ -741,8 +814,10 @@ def test_general_search_bytes_beyond_the_rank_table(monkeypatch, p, k, bound_mib
         finally:
             tracemalloc.stop()
         above = max(peaks) - p ** (1 << k)
-        assert above < bound_mib << 20, (p, k, workers, above / 2**20)
+        assert above < bound_mib * 2**20, (p, k, workers, above / 2**20)
         assert pulls and max(pulls) < 4 << 20, (p, k, workers, max(pulls, default=0) / 2**20)
+        if (p, k) == (3, 4):
+            assert max(lives) - p ** (1 << k) < 899540 * 4, (workers, max(lives) / 2**20)
 
 
 def is_mode1_rref(code, p, k):
@@ -765,8 +840,11 @@ def test_general_sizes_are_the_layer_counts(general_for):
 
 
 def mode1_reps(p, k):
-    """All representatives of the mode-1 classes, as _mode1_classes gives them."""
-    return rank_strata._mode1_classes(p, 1 << (k - 1))[0]
+    """All representatives of the mode-1 classes, in the order _stream
+    yields them from the blocks of _mode1_classes."""
+    m = 1 << (k - 1)
+    blocks = rank_strata._mode1_classes(p, m)[0]
+    return np.concatenate([codes for _, codes in rank_strata._stream(blocks, p**m, rank_strata._PULL_CHUNK)])
 
 
 SEARCH_SETTINGS = {
@@ -781,17 +859,40 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
     for name, value in settings.items():
         monkeypatch.setattr(rank_strata, name, value)
     # one log in call order; a closure also keeps, as they were before the
-    # call, the ranks of the codes it closes and of every representative
+    # call, the ranks of the codes it closes
     calls, reps = [], None
     # a pull gathers the table rows of each half of a generator block, then
     # takes the columns of its codes: each take records the rows it copied,
     # the pairs the block tests and the budget of its pull's threads
     takes, budget = [], [None]
+    # per pull: its stream slices and the representatives it marked
+    pulls = []
 
     class Rows(np.ndarray):
         def take(self, indices, axis=None, out=None, mode="raise"):
             takes.append((self.shape, indices.size, budget[0]))
             return np.asarray(self).take(indices, axis, out, mode)
+
+    def checked_pull(real, blocks, ranks, r, tables, rank_of, close, workers):
+        # a pull starts from the rank of every representative, as the
+        # generators, a push's gather or the last pull's shift left it
+        before = ranks.copy()
+        assert np.array_equal(before, rank_of[reps])
+        H = tables[3]
+        slices = list(rank_strata._stream(blocks, H, max(1, rank_strata._PULL_CHUNK // (4 * workers))))
+        # it streams every representative, in order, in int32 slices
+        assert np.array_equal(np.concatenate([codes for _, codes in slices]), reps)
+        assert all(codes.dtype == np.int32 for _, codes in slices)
+        budget[0] = rank_strata._PULL_CHUNK // workers
+        real(blocks, ranks, r, (tables[0].view(Rows),) + tables[1:], rank_of, close, workers)
+        # every representative it found unranked is now r or marked -r - 2,
+        # the others are unchanged, and `ranks` holds them as the shift will
+        # leave them: r, or -1 for the marked
+        after, unranked = rank_of[reps], before == -1
+        assert np.array_equal(after[~unranked], before[~unranked])
+        assert np.isin(after[unranked], (r, -r - 2)).all()
+        assert np.array_equal(ranks, np.where(after == -r - 2, -1, after))
+        pulls.append((len(slices), reps[after == -r - 2]))
 
     for name in ("_push", "_pull", "_close"):
         real = getattr(rank_strata, name)
@@ -800,16 +901,14 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
             kept = ()
             if name == "_close":
                 codes, rank_of = args[4], args[-1]
-                kept = (rank_of[codes].copy(), rank_of[reps].copy())
+                kept = (rank_of[codes].copy(),)
             calls.append((name, args + kept))
             if name == "_pull":
-                tables = args[2]
-                args = args[:2] + ((tables[0].view(Rows),) + tables[1:],) + args[3:]
-                budget[0] = rank_strata._PULL_CHUNK // args[-1]
+                return checked_pull(real, *args)
             return real(*args)
 
         monkeypatch.setattr(rank_strata, name, spy)
-    # the size of every slice the shift after a marked closure updates
+    # the size of every slice the shift after a pull updates
     shifts, real_shift = [], rank_strata._shift
 
     def shift(part, by):
@@ -824,28 +923,40 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
         s = symmetric_rank_strata(FieldSpec(p), k)
         assert strata_sha256(s) == PINNED_STRATA_SHA256[(p, k)], (p, k, settings)
     assert calls == [] and shifts == []
-    split_pull = split_close = split_push = split_shift = pulled = False
+    split_pull = split_push = split_shift = pulled = False
     threaded = set()  # the worker counts that started threads
     for workers, (p, k) in product((1, 2), [(2, 3), (3, 3), (5, 3), (2, 4)]):
         monkeypatch.setattr(rank_strata, "_workers", lambda: workers)
         calls.clear()
         shifts.clear()
+        pulls.clear()
         reps = mode1_reps(p, k)
         g = general_rank_strata(FieldSpec(p), k)
         assert general_sha256(g) == PINNED_GENERAL_SHA256[(p, k)], (p, k, settings)
         assert g.sizes == layer_counts(g) and sum(g.sizes) == p ** (1 << k), (p, k, settings)
         names = [name for name, _ in calls]
-        # one push or pull per layer past the generators, and a closure
-        # right after each pull
+        # one push or pull per layer past the generators
         assert names.count("_push") + names.count("_pull") == len(g.sizes) - 2
-        assert all(names[i + 1 : i + 2] == ["_close"] for i, name in enumerate(names) if name == "_pull")
+        assert len(pulls) == names.count("_pull")
         if all_pull:
             assert "_push" not in names
         if all_push:
             assert "_pull" not in names
         step = max(1, rank_strata._PULL_CHUNK // len(gl2(p)))
         direction = frontier = None
-        for i, (name, args) in enumerate(calls):
+        marked = []  # the codes the current pull's closures marked
+        for i, (name, args) in enumerate(calls + [("end", None)]):
+            if name != "_close" and direction is not None and direction[0] == "_pull":
+                # a pull closes, marked -r - 2, the class of every
+                # representative it left unranked, once each, in one
+                # closure per slice it streamed
+                slices, left = pulls.pop(0)
+                assert len(marked) == slices, (p, k)
+                assert np.array_equal(np.sort(np.concatenate(marked)), np.sort(left)), (p, k)
+                split_pull |= slices > 1
+                marked = []
+            if name == "end":
+                break
             if name != "_close":
                 # a pass runs on `workers` threads or inline, and only past
                 # two chunks of sums (push) or unranked representatives
@@ -854,45 +965,45 @@ def test_general_search_directions_and_chunks(monkeypatch, settings):
                 assert passed in (1, workers), (p, k, name)
                 if passed > 1:
                     threaded.add(workers)
-                if name == "_pull":
-                    # a pull gets every representative and slices them
-                    assert np.array_equal(args[0], reps) and args[0].dtype == np.int32
-                    split_pull |= args[0].size > rank_strata._PULL_CHUNK // (4 * passed)
-                else:
+                if name == "_push":
                     # pushes start from representatives
                     assert args[0].dtype == np.int32
                     assert all(is_mode1_rref(c, p, k) for c in args[0].tolist()), (p, k, name)
-                direction, frontier = (name, passed), args[0]
+                    frontier, r_pass = args[0], args[1]
+                else:
+                    r_pass = args[2]
+                direction = (name, passed)
                 continue
-            _, _, _, _, codes, r, _, before, side = args
-            split_close |= codes.size > max(1, rank_strata._PULL_CHUNK // len(gl2(p)))
+            _, _, _, _, codes, r, _, before = args
             if direction[0] == "_push":
                 # a push closes the classes of unranked sums, in bounded
                 # steps; on more threads than one, another may have closed
                 # some of them since they were filtered, with the same rank
                 assert (before == -1).all() or (direction[1] > 1 and np.isin(before, (-1, r)).all()), (p, k, r)
-                assert r >= 2 and codes.size <= max(step, frontier.size), (p, k, r)
+                assert r == r_pass >= 2 and codes.size <= max(step, frontier.size), (p, k, r)
                 split_push |= names[i - 1] == "_close"
                 continue
-            # exactly one closure follows each pull: the representatives it
-            # left unranked, every one of them, marked -r - 2 for the pull's
-            # rank r
-            assert names[i - 1] == "_pull" and names[i + 1 : i + 2] != ["_close"], (p, k, r)
+            # a pull's closures mark, for its rank r, the unranked classes
+            # of representatives
             assert all(is_mode1_rref(c, p, k) for c in codes.tolist())
-            assert r == -calls[i - 1][1][1] - 2 and (before == -1).all(), (p, k, r)
-            assert codes.size == np.count_nonzero(side == -1), (p, k, r)
+            assert r == -r_pass - 2 and (before == -1).all(), (p, k, r)
+            marked.append(codes)
             pulled = True
-        # each pull is followed by one marked closure and one shift of the
-        # whole space, in slices of at most _PULL_CHUNK codes
-        marked = sum(name == "_close" and args[5] < 0 for name, args in calls)
-        assert marked == names.count("_pull"), (p, k)
-        assert sum(shifts) == marked * p ** (1 << k) and max(shifts, default=0) <= rank_strata._PULL_CHUNK
-        split_shift |= len(shifts) > marked
+        assert pulls == []
+        # each pull is followed by one shift of the whole space, in slices
+        # of at most _PULL_CHUNK codes
+        assert sum(shifts) == names.count("_pull") * p ** (1 << k)
+        assert max(shifts, default=0) <= rank_strata._PULL_CHUNK
+        split_shift |= len(shifts) > names.count("_pull")
     # a pull block tests at most its threads' budget of pairs and copies at
     # most as many table entries per half, or one row where that is wider
     assert all(rows * n <= cap and rows * H <= max(cap, H) for (rows, H), n, cap in takes)
     if "_PULL_CHUNK" in settings:
-        assert split_pull and split_close and split_push and split_shift
+        # no closure of these four searches spans two closure chunks: a
+        # push step's sums and a pull slice's leftovers stay within one, so
+        # the chunked closure is checked on its own, in
+        # test_mode1_closure_writes_exactly_the_orbit
+        assert split_pull and split_push and split_shift
         # the budget binds: some block copies rows filling more than half of
         # it (at H = 256, one row and the 100 codes of a slice at most)
         assert any(rows * H <= cap < 2 * rows * H for (rows, H), _, cap in takes)
@@ -942,7 +1053,7 @@ def test_mode1_closure_writes_exactly_the_orbit(monkeypatch, p, k, chunk):
     # a push closes the class of any code, not only of a representative:
     # every nonzero code at (2,3), a seeded sample at (3,3), and every
     # representative, in one closure that small chunks split
-    reps, close, _ = rank_strata._mode1_classes(p, 1 << (k - 1))
+    close, reps = rank_strata._mode1_classes(p, 1 << (k - 1))[1], mode1_reps(p, k)
     if chunk is not None:
         monkeypatch.setattr(rank_strata, "_PULL_CHUNK", chunk)
         assert reps.size > max(1, chunk // len(gl2(p)))
