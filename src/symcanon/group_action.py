@@ -140,11 +140,16 @@ def _least_images(c, p, k):
             yield tuple([a * b % p for a, b in zip(s, z)])
 
 
-def _full_code(p, k):
-    """Full code of compact coefficients, in Python ints: at k = 4 and
-    p >= 17 full codes pass the int64 of `compact_weights`."""
+def _compact_weights(p, k):
+    """W with full code = compact coefficients . W, in Python ints: at k = 4
+    and p >= 17 full codes pass int64."""
     n = 1 << k
-    weights = [sum(p ** (n - 1 - t) for t, j in enumerate(twos_counts(k)) if j == i) for i in range(k + 1)]
+    return [sum(p ** (n - 1 - t) for t, j in enumerate(twos_counts(k)) if j == i) for i in range(k + 1)]
+
+
+def _full_code(p, k):
+    """Full code of compact coefficients."""
+    weights = _compact_weights(p, k)
     return lambda coeffs: sum(map(mul, coeffs, weights))
 
 

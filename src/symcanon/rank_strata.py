@@ -90,8 +90,8 @@ from operator import index
 from ._numpy import np
 from .apolar import rank_one_generators
 from .gfp import Frozen
-from .group_action import DEFAULT_BUDGET, _kth_powers, _refuse_oversized, action_stack, group_order
-from .tensor import compact_weights, digits_of_codes, encode, full_place_values
+from .group_action import DEFAULT_BUDGET, _compact_weights, _kth_powers, _refuse_oversized, action_stack, group_order
+from .tensor import digits_of_codes
 
 # a layer pushes iff |frontier| * G <= _PUSH_FACTOR * |unranked|; each
 # temporary of a pass holds about _PULL_CHUNK entries
@@ -144,7 +144,7 @@ class RankStratification(Frozen):
         if self.field.p ** (1 << self.order) > 1 << 63:
             raise OverflowError(f"full codes at p={self.field.p}, order {self.order} "
                                 "pass the int64 limit of 2^63")
-        weights = compact_weights(self.field.p, self.order)
+        weights = np.array(_compact_weights(self.field.p, self.order), dtype=np.int64)
         return reduce(np.add.outer, np.arange(self.field.p) * weights[:, None]).ravel()
 
 
@@ -358,14 +358,6 @@ class GeneralRankStratification(Frozen):
         r = int(self._rank_of[at])
         return None if r < 0 else r
 
-    def rank_of(self, X):
-        if X.field != self.field or X.order != self.order:
-            raise ValueError("tensor parameters do not match the stratification")
-        return self.rank_of_code(encode(X))
-
-    def stratum_codes(self, r):
-        return np.flatnonzero(self._rank_of == r).astype(np.int64, copy=False)
-
 
 def simple_tensor_codes(field, k):
     """Sorted codes of the simple tensors, each built once: the factors are
@@ -374,7 +366,8 @@ def simple_tensor_codes(field, k):
     p = field.p
     points = np.array([(1, t) for t in range(p)] + [(0, 1)], dtype=np.int64)
     products = reduce(np.kron, [points] * k)  # row-wise a1 (x) ... (x) ak
-    return np.sort((np.arange(1, p)[:, None, None] * products % p @ full_place_values(p, k)).ravel())
+    place = p ** np.arange((1 << k) - 1, -1, -1, dtype=np.int64)  # of the 2^k flattened positions
+    return np.sort((np.arange(1, p)[:, None, None] * products % p @ place).ravel())
 
 
 def general_rank_strata(field, k, budget=DEFAULT_BUDGET):

@@ -42,64 +42,6 @@ SCHEMA_VERSION = "1"
 
 FORMATS = ("structured", "tabular", "markdown", "latex")
 
-_RECORD_SCHEMA = {
-    "type": "object",
-    "required": ["rank", "orbit_size", "stabilizer_size", "canonical"],
-    "additionalProperties": False,
-    "properties": {
-        "rank": {"type": ["integer", "null"], "minimum": 0},
-        "orbit_size": {"type": "integer", "minimum": 1},
-        "stabilizer_size": {"type": "integer", "minimum": 1},
-        "canonical": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-    },
-}
-
-# JSON schema of the structured document (timing is optional, see emit)
-DOCUMENT_SCHEMA = {
-    "type": "object",
-    "required": [
-        "schema_version", "parameters", "max_symmetric_rank", "stratum_counts",
-        "stratum_percentages", "undecomposable_count", "records",
-        "undecomposable_records", "errata", "provenance",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "parameters": {
-            "type": "object",
-            "required": ["p", "order", "group_order", "symmetric_space"],
-            "additionalProperties": False,
-            "properties": {
-                "p": {"type": "integer", "minimum": 2},
-                "order": {"type": "integer", "enum": [3, 4]},
-                "group_order": {"type": "integer", "minimum": 6},
-                "symmetric_space": {"type": "integer", "minimum": 16},
-            },
-        },
-        "max_symmetric_rank": {"type": "integer", "minimum": 0},
-        "stratum_counts": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "stratum_percentages": {"type": "array", "items": {"type": "number"}},
-        "undecomposable_count": {"type": "integer", "minimum": 0},
-        "records": {"type": "array", "items": _RECORD_SCHEMA},
-        "undecomposable_records": {"type": "array", "items": _RECORD_SCHEMA},
-        "errata": {"type": "array", "items": {"type": "object"}},
-        "provenance": {
-            "type": "object",
-            "required": ["artifact", "version"],
-            "additionalProperties": False,
-            "properties": {
-                "artifact": {"const": "symcanon"},
-                "version": {"type": "string"},
-            },
-        },
-        "timing": {
-            "type": "object",
-            "required": ["wall_seconds"],
-            "properties": {"wall_seconds": {"type": "number", "minimum": 0}},
-        },
-    },
-}
-
 ERRATUM_SUSPECTED = "ERRATUM-SUSPECTED"
 MISMATCH = "MISMATCH"
 

@@ -83,9 +83,6 @@ class CompactSym(Frozen):
         for v in coeffs:
             field.check(v)
 
-    def full(self):
-        return full_from_compact(self)
-
 
 def is_symmetric(Y):
     """True iff every entry equals the entry at every permutation of its subscripts.
@@ -153,7 +150,7 @@ def decode(code, field, order):
     """Inverse of encode; returns a Tensor (symmetry not assumed)."""
     p = field.p
     n = 1 << order
-    if not isinstance(code, Integral) or not 0 <= code < p**n:
+    if isinstance(code, bool) or not isinstance(code, Integral) or not 0 <= code < p**n:
         raise ValueError(f"code out of range for p={p}, order {order}: {code!r}")
     code = int(code)
     digits = [0] * n
@@ -214,25 +211,6 @@ def format_literal(X, compact=False):
 # numpy helpers shared by the enumeration modules, which load numpy; the
 # one-tensor queries never call them
 # ---------------------------------------------------------------------------
-
-def full_place_values(p, k):
-    """Radix-p place values of the 2^k flattened positions (int64)."""
-    from ._numpy import np
-
-    n = 1 << k
-    return p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-
-def compact_weights(p, k):
-    """W with full_code = compact_digits . W for symmetric tensors."""
-    from ._numpy import np
-
-    place = full_place_values(p, k)
-    pattern = np.array(twos_counts(k))
-    return np.array(
-        [place[pattern == j].sum() for j in range(k + 1)], dtype=np.int64
-    )
-
 
 def digits_of_codes(codes, p, width):
     """Digit matrix (len(codes), width) of radix-p codes, MSB first."""

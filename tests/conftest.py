@@ -15,7 +15,7 @@ from symcanon import (AsymmetricTensorError, CompactSym, FieldSpec, SymTensor, T
                       classify, general_rank_strata, is_symmetric, symmetric_rank_strata)
 from symcanon import rank_strata
 from symcanon.group_action import _compact_matrix, _powers
-from symcanon.tensor import compact_from_full, digits_of_codes
+from symcanon.tensor import compact_from_full, digits_of_codes, full_from_compact
 
 # every (p, k) with a stored reference table
 ALL_PAIRS = [(2, 3), (3, 3), (5, 3), (7, 3), (11, 3), (13, 3), (17, 3),
@@ -346,7 +346,7 @@ def parent_of(s, X):
     if s._rank_of[code] < 0:
         raise UndecomposableError("tensor has no symmetric decomposition")
     pred, gen = _parents(s, np.array([code]))
-    pred = compact_decode(int(pred[0]), s.field, s.order).full()
+    pred = full_from_compact(compact_decode(int(pred[0]), s.field, s.order))
     return pred, s.generator_vectors[int(gen[0])]
 
 

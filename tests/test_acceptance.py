@@ -14,6 +14,7 @@ from symcanon import (
     decompose,
     diff,
     emit,
+    full_from_compact,
     group_order,
     load_fixture,
     symmetric_outer_power,
@@ -191,7 +192,7 @@ def test_criterion_8_witness_soundness(strata_for):
         f = FieldSpec(p)
         s = strata_for(p, k)
         for code in range(p ** (k + 1)):
-            X = compact_decode(code, f, k).full()
+            X = full_from_compact(compact_decode(code, f, k))
             if strata_rank(s, X) is None:
                 continue
             if not _witness_ok(X, s, f):
@@ -202,7 +203,7 @@ def test_criterion_8_witness_soundness(strata_for):
         s = strata_for(p, k)
         for _ in range(1000):
             code = rng.randrange(p ** (k + 1))
-            X = compact_decode(code, f, k).full()
+            X = full_from_compact(compact_decode(code, f, k))
             if strata_rank(s, X) is None:
                 ok = False  # these fields have no undecomposable tensors
             elif not _witness_ok(X, s, f):

@@ -66,7 +66,7 @@ def test_waring_check_rank1_tensors():
 
 def test_waring_check_all_f3():
     for code in range(81):
-        assert waring_check(compact_decode(code, F3, 3).full())
+        assert waring_check(full_from_compact(compact_decode(code, F3, 3)))
 
 
 def test_waring_check_excludes_undecomposable():

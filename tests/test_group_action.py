@@ -18,7 +18,7 @@ from symcanon import (
     stabilizer_size,
 )
 from symcanon.group_action import _coset_matrices, action_stack
-from symcanon.tensor import compact_weights, digits_of_codes
+from symcanon.tensor import digits_of_codes, twos_counts
 
 from conftest import (ALL_PAIRS, GroupElement, _generators, act, act_diagonal, compact_decode, compact_encode,
                       count_stabilizer_directly, enumerate_gl2, generator_stack, orbit_labels)
@@ -131,7 +131,7 @@ def test_act_diagonal_preserves_symmetry_exhaustive(p):
     f = FieldSpec(p)
     gs = enumerate_gl2(f)
     for code in range(p**4):
-        X = compact_decode(code, f, 3).full()
+        X = full_from_compact(compact_decode(code, f, 3))
         for g in gs:
             assert is_symmetric(act_diagonal(g, X))
 
@@ -155,7 +155,7 @@ def test_action_law_composition(gi, hi, code):
             for i in range(2)
         ),
     )
-    X = compact_decode(code, F3, 3).full()
+    X = full_from_compact(compact_decode(code, F3, 3))
     assert act_diagonal(gh, X).entries == act_diagonal(g, act_diagonal(h, X)).entries
 
 
@@ -206,7 +206,7 @@ def test_canonical_form_examples():
 
 def test_canonical_form_idempotent_and_orbit_constant():
     for code in range(81):
-        X = compact_decode(code, F3, 3).full()
+        X = full_from_compact(compact_decode(code, F3, 3))
         c = canonical_form(X)
         assert canonical_form(c).entries == c.entries
         for g in enumerate_gl2(F3)[::7]:
@@ -216,7 +216,7 @@ def test_canonical_form_idempotent_and_orbit_constant():
 def test_orbit_sizes_divide_group_order():
     n = group_order(F3)
     for code in range(81):
-        assert n % orbit(compact_decode(code, F3, 3).full()).size == 0
+        assert n % orbit(full_from_compact(compact_decode(code, F3, 3))).size == 0
 
 
 def test_stabilizer_sizes():
@@ -230,7 +230,7 @@ def test_stabilizer_direct_count_agrees():
     for f in (F2, F3):
         n = group_order(f)
         for code in range(f.p**4):
-            X = compact_decode(code, f, 3).full()
+            X = full_from_compact(compact_decode(code, f, 3))
             orb = orbit(X)
             direct = count_stabilizer_directly(X)
             assert direct * orb.size == n
@@ -281,7 +281,7 @@ def test_action_stack_is_the_compact_diagonal_action(p, k):
     for h, S in zip(hs, stack):
         for j in range(k + 1):
             c = CompactSym(f, k, tuple(int(i == j) for i in range(k + 1)))
-            image = compact_from_full(act_diagonal(GroupElement(f, h), c.full())).coeffs
+            image = compact_from_full(act_diagonal(GroupElement(f, h), full_from_compact(c))).coeffs
             assert image == tuple(int(v) for v in S[:, j] % p), (h, j)
     # the torus elements diag(a, d) times the p (p + 1) h are GL2, each once
     products = [((a * u1 % p, a * u2 % p), (d * v1 % p, d * v2 % p))
@@ -308,7 +308,7 @@ def test_orbit_labels_are_the_least_codes_of_the_scalar_orbits(p, k):
     assert lab.dtype == np.int32 and lab.shape == (p ** (k + 1),)
     gs = enumerate_gl2(f)
     for code in range(p ** (k + 1)):
-        X = compact_decode(code, f, k).full()
+        X = full_from_compact(compact_decode(code, f, k))
         least = min(compact_encode(compact_from_full(act_diagonal(g, X))) for g in gs)
         assert lab[code] == least, (p, k, code)
 
@@ -341,7 +341,8 @@ def _label_classes(p, k):
     """The orbit labels of the space, the size of each label's class and
     the full code of every compact code."""
     lab = orbit_labels(generator_stack(FieldSpec(p), k), p)
-    full = digits_of_codes(np.arange(lab.size), p, k + 1) @ compact_weights(p, k)
+    full_digits = digits_of_codes(np.arange(lab.size), p, k + 1)[:, twos_counts(k)]
+    full = full_digits @ p ** np.arange((1 << k) - 1, -1, -1, dtype=np.int64)
     return lab, np.bincount(lab, minlength=lab.size), full
 
 
@@ -349,7 +350,7 @@ def _assert_scan_agrees(p, k, codes):
     f = FieldSpec(p)
     lab, counts, full = _label_classes(p, k)
     for code in codes(lab):
-        X = compact_decode(code, f, k).full()
+        X = full_from_compact(compact_decode(code, f, k))
         orb = orbit(X)
         assert encode(canonical_form(X)) == orb.canonical == full[lab[code]], (p, k, code)
         assert orb.size == counts[lab[code]], (p, k, code)
@@ -377,5 +378,5 @@ def test_orbit_members_are_the_label_class(p, k):
     lab, counts, full = _label_classes(p, k)
     labels, last = np.unique(lab[::-1], return_index=True)
     for label, code in zip(labels.tolist(), (lab.size - 1 - last).tolist()):
-        members = orbit(compact_decode(code, f, k).full()).members
+        members = orbit(full_from_compact(compact_decode(code, f, k))).members
         assert members == tuple(full[lab == label].tolist()), (p, k, label)

@@ -34,6 +34,10 @@ GONE = [
     ("rank_strata", "_compact_code_of"),
     ("group_action", "orbit_labels"),
     ("group_action", "_generators"),
+    ("report", "DOCUMENT_SCHEMA"),
+    ("report", "_RECORD_SCHEMA"),
+    ("tensor", "compact_weights"),
+    ("tensor", "full_place_values"),
 ]
 FORMS = ["BinaryForm", "tensor_to_form", "eval_form", "form_kernel_dimension", "waring_rank_check"]
 
@@ -53,6 +57,9 @@ def test_deleted_and_moved_names_are_gone():
     assert not hasattr(symcanon.SymTensor, "compact")
     assert not hasattr(symcanon.RankStratification, "parent_of")
     assert not hasattr(symcanon.RankStratification, "rank_of_compact_code")
+    assert not hasattr(symcanon.GeneralRankStratification, "rank_of")
+    assert not hasattr(symcanon.GeneralRankStratification, "stratum_codes")
+    assert not hasattr(symcanon.CompactSym, "full")
 
 
 def test_forms_module_is_gone():

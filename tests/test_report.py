@@ -154,17 +154,6 @@ def test_structured_timing_is_opt_in(classification_for):
     assert doc["timing"]["wall_seconds"] >= 0
 
 
-def test_documents_validate_against_schema(classification_for):
-    import jsonschema
-
-    from conftest import ALL_PAIRS
-    from symcanon.report import DOCUMENT_SCHEMA
-
-    for p, k in ALL_PAIRS:
-        doc = json.loads(emit(classification_for(p, k), "structured", include_timing=(p == 2)))
-        jsonschema.validate(doc, DOCUMENT_SCHEMA)
-
-
 def test_percentages_f3(classification_for):
     doc = json.loads(emit(classification_for(3, 3)))
     assert doc["stratum_percentages"] == [1.23, 9.88, 29.63, 39.51, 19.75]

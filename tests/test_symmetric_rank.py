@@ -10,8 +10,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from symcanon import (FieldSpec, SymTensor, Tensor, classify, decompose, is_symmetric, load_fixture,
-                      symmetric_rank)
+from symcanon import (FieldSpec, SymTensor, Tensor, classify, decompose, full_from_compact, is_symmetric,
+                      load_fixture, symmetric_rank)
 from symcanon import apolar
 from symcanon.apolar import _point_table
 
@@ -25,7 +25,7 @@ BEYOND_FIXTURES = [(19, 3), (23, 3), (11, 4), (13, 4)]
 @pytest.mark.parametrize("p, k", SMALL_PAIRS)
 def test_rank_of_every_code_matches_the_strata(strata_for, p, k):
     f, s = FieldSpec(p), strata_for(p, k)
-    ranks = [symmetric_rank(compact_decode(code, f, k).full()) for code in range(p ** (k + 1))]
+    ranks = [symmetric_rank(full_from_compact(compact_decode(code, f, k))) for code in range(p ** (k + 1))]
     assert ranks == [None if r < 0 else r for r in s._rank_of.tolist()]
 
 
@@ -69,7 +69,7 @@ def test_decompose_follows_the_least_derivation(strata_for, p, k):
     for r in range(s.max_rank + 1):
         codes = np.flatnonzero(s._rank_of == r).tolist()
         for code in rng.sample(codes, min(12, len(codes))):
-            X = compact_decode(code, f, k).full()
+            X = full_from_compact(compact_decode(code, f, k))
             assert decompose(X).vectors == derivation_chain(s, X), (p, k, code)
 
 
@@ -113,6 +113,6 @@ def test_decompose_through_k_plus_2_points(strata_for):
     # no basis gives: four of them
     f, s = FieldSpec(13), strata_for(13, 4)
     for code in (60153, 61222, 62094, 62506):
-        X = compact_decode(code, f, 4).full()
+        X = full_from_compact(compact_decode(code, f, 4))
         assert symmetric_rank(X) == 6
         assert decompose(X).vectors == derivation_chain(s, X), code

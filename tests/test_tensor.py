@@ -198,10 +198,10 @@ def test_encode_zero_and_one():
 
 
 def test_code_out_of_range():
-    with pytest.raises(ValueError):
-        decode(2**8, F2, 3)
-    with pytest.raises(ValueError):
-        decode(-1, F2, 3)
+    # a bool is an Integral but not a code
+    for bad in (2**8, -1, True, False):
+        with pytest.raises(ValueError):
+            decode(bad, F2, 3)
 
 
 def test_codes_are_integers_of_any_integer_type():
